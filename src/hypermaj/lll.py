@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .errors import PreconditionError
+from .errors import InvariantBreach, PreconditionError
 from .hypercore import Colouring, Hypergraph
 
 __all__ = [
@@ -113,7 +113,13 @@ def threshold(k: int, r: int) -> int:
     delta = max(1, stationary)
     # The second inequality cannot hold at its own maximum, so the scan
     # below runs entirely in the decreasing regime.
-    assert not inequalities_hold(k, r, stationary)
+    if inequalities_hold(k, r, stationary):
+        raise InvariantBreach(
+            "threshold inequalities hold at their stationary point",
+            k=k,
+            r=r,
+            delta=stationary,
+        )
     while not inequalities_hold(k, r, delta):
         delta += 1
     return delta

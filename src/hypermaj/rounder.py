@@ -18,9 +18,11 @@ directions of the constrained-vertex incidence system:
      set has at most r fractional edges, each moving by strictly less
      than 1, which gives the strict discrepancy bound.
 
-All arithmetic is exact. The elimination runs on integer matrices
-(fraction-free Bareiss, promoted to big ints on potential overflow) and
-only the final back-substitution produces rationals.
+All arithmetic is exact. The kernel comes from a sparse fraction-free
+elimination of the integer incidence rows in column order, each updated
+row divided by the gcd of its entries, followed by an integer
+back-substitution. The walk steps along that integer vector directly;
+rationals appear only in the weights and the step lengths.
 """
 
 from __future__ import annotations
@@ -28,40 +30,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import Hashable, Mapping, Sequence
 
 from .errors import InvariantBreach
 from .hypercore import Hypergraph, Weighting
 
 __all__ = [
-    "RoundingState",
     "TraceStep",
     "RoundingTrace",
-    "build_system",
     "kernel_direction",
     "step_to_boundary",
     "finalize_low_degree",
     "round_weights",
 ]
 
-_INT64_SAFE = 2**30  # entries above this promote the elimination to big ints
 
-
-@dataclass
-class RoundingState:
-    """Working state of one rounding run.
-
-    fixed and frac_edges partition the edge set; h holds the current value
-    of every fractional edge, strictly inside (0, 1); constrained lists the
-    vertices whose fractional degree is at least rank+1.
-    """
-
-    frac_edges: tuple[int, ...]
-    fixed: dict[int, int]
-    h: dict[int, Fraction]
-    constrained: tuple[int, ...]
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -79,107 +64,82 @@ class RoundingTrace:
     iterations: tuple[TraceStep, ...]
 
 
-def build_system(state: RoundingState, h_graph: Hypergraph) -> list[list[int]]:
-    """Incidence matrix of constrained vertices (rows) over fractional edges
-    (columns), both in ascending id order.
+def _first_dependent(
+    rows: dict[Hashable, dict[int, int]], n_cols: int
+) -> tuple[list[int], int]:
+    """Integer kernel vector ending at the first column that depends on the
+    columns before it.
 
-    The fractional degree bound r+1 on rows against edge size at most r
-    forces strictly more columns than rows; anything else is a bug in the
-    constrained-set maintenance.
+    rows maps a row key to its nonzero integer entries {column: value}, with
+    columns in range(n_cols); it is consumed. Rows are eliminated in column
+    order: each column takes as pivot the shortest remaining row that is
+    nonzero there and clears that column from the other remaining rows,
+    each updated row divided by the gcd of its entries. The first column j
+    where no remaining row is nonzero depends on columns 0..j-1, which are
+    independent, so the returned w (length j+1, w[j] != 0, with
+    sum_c w[c] * column c = 0) is unique up to scale; it is made primitive
+    with its first nonzero entry positive.
     """
-    rows = sorted(state.constrained)
-    cols = sorted(state.frac_edges)
-    if not rows:
-        raise ValueError("build_system requires a non-empty constrained set")
-    if len(cols) <= len(rows):
-        raise InvariantBreach(
-            "constrained incidence system must have more columns than rows",
-            rows=len(rows),
-            cols=len(cols),
-        )
-    col_index = {e: j for j, e in enumerate(cols)}
-    matrix = [[0] * len(cols) for _ in rows]
-    for i, v in enumerate(rows):
-        for e in h_graph.incident_edges(v):
-            j = col_index.get(e)
-            if j is not None:
-                matrix[i][j] = 1
-    return matrix
-
-
-def _bareiss_first_free(rows_int: list[list[int]], n_cols: int) -> tuple[list[list[int]], int]:
-    """Eliminate columns left to right until one yields no pivot.
-
-    Returns the worked matrix (rows permuted, truncated to the first
-    n_rows+1 columns) and the index of the first pivot-free column. With
-    more columns than rows that index is at most n_rows, so later columns
-    never need to be touched.
-    """
-    n_rows = len(rows_int)
-    limit = min(n_cols, n_rows + 1)
-    dtype = np.int64
-    if rows_int and max(abs(x) for row in rows_int for x in row[:limit]) > _INT64_SAFE:
-        dtype = object
-    m = np.array([row[:limit] for row in rows_int], dtype=dtype)
-    piv = 0
-    denom = 1
-    for col in range(limit):
-        hit = -1
-        for i in range(piv, n_rows):
-            if m[i, col] != 0:
-                hit = i
-                break
-        if hit < 0:
-            return m.tolist(), col
-        if hit != piv:
-            m[[piv, hit]] = m[[hit, piv]]
-        if piv + 1 < n_rows:
-            if m.dtype != object and max(abs(int(m.max())), abs(int(m.min()))) > _INT64_SAFE:
-                m = m.astype(object)
-            pivot = m[piv, col]
-            below = m[piv + 1 :]
-            m[piv + 1 :] = (below * pivot - np.outer(below[:, col], m[piv])) // denom
-            denom = pivot
-        else:
-            denom = m[piv, col]
-        piv += 1
+    holders: list[set] = [set() for _ in range(n_cols)]
+    for v, row in rows.items():
+        for c in row:
+            holders[c].add(v)
+    pivots: list[dict[int, int]] = []
+    for c, hold in enumerate(holders):
+        if not hold:
+            return _back_substitute(pivots, c), c
+        v = min(hold, key=lambda u: len(rows[u]))
+        prow = rows.pop(v)
+        for l in prow:
+            holders[l].discard(v)
+        p = prow[c]
+        for u in list(hold):
+            row = rows[u]
+            g = math.gcd(p, row[c])
+            pu, a = p // g, row[c] // g
+            if pu != 1:
+                for l in row:
+                    row[l] *= pu
+            for l, y in prow.items():
+                x = row.get(l, 0) - a * y
+                if x:
+                    if l not in row:
+                        holders[l].add(u)
+                    row[l] = x
+                else:
+                    del row[l]
+                    holders[l].discard(u)
+            g = math.gcd(*row.values())
+            if g > 1:
+                for l in row:
+                    row[l] //= g
+        pivots.append(prow)
     raise InvariantBreach(
-        "no free column found within the first n_rows+1 columns",
-        rows=n_rows,
+        "no dependent column: the system has no more columns than independent rows",
         cols=n_cols,
     )
 
 
-def _kernel_int(rows_int: list[list[int]], n_cols: int) -> list[Fraction]:
-    """Kernel vector under the fixed convention, from integer rows.
-
-    The first pivot-free column is the free variable, set to 1; later
-    columns are 0 and earlier (all pivotal) columns are solved by exact
-    integer back-substitution scaled by the pivot determinant. The result
-    is sign-normalized so its first nonzero entry is positive.
-    """
-    if not rows_int:
-        d = [Fraction(0)] * n_cols
-        d[0] = Fraction(1)
-        return d
-    m, j_free = _bareiss_first_free(rows_int, n_cols)
-    det = int(m[j_free - 1][j_free - 1]) if j_free > 0 else 1
-    w = [0] * (j_free + 1)
-    w[j_free] = det
-    for i in range(j_free - 1, -1, -1):
-        s = sum(int(m[i][l]) * w[l] for l in range(i + 1, j_free + 1))
-        q, rem = divmod(-s, int(m[i][i]))
-        if rem != 0:
-            raise InvariantBreach("inexact division in kernel back-substitution")
-        w[i] = q
-    d = [Fraction(w[i], det) for i in range(j_free + 1)]
-    d.extend(Fraction(0) for _ in range(n_cols - j_free - 1))
-    for entry in d:
-        if entry:
-            if entry < 0:
-                d = [-x for x in d]
-            break
-    return d
+def _back_substitute(pivots: list[dict[int, int]], j: int) -> list[int]:
+    """Solve pivots[k] . w = 0 for k < j with w[j] != 0 and w[l] = 0 past j,
+    in integers, scaling the partial solution whenever a pivot does not
+    divide."""
+    w = [0] * (j + 1)
+    w[j] = 1
+    for k in range(j - 1, -1, -1):
+        prow = pivots[k]
+        s = sum(x * w[l] for l, x in prow.items() if k < l <= j)
+        p = prow[k]
+        if s % p:
+            scale = abs(p) // math.gcd(s, p)
+            for l in range(k + 1, j + 1):
+                w[l] *= scale
+            s *= scale
+        w[k] = -s // p
+    g = math.gcd(*w)
+    if next(x for x in w if x) < 0:
+        g = -g
+    return [x // g for x in w]
 
 
 def kernel_direction(matrix: Sequence[Sequence]) -> list[Fraction]:
@@ -199,43 +159,60 @@ def kernel_direction(matrix: Sequence[Sequence]) -> list[Fraction]:
         raise ValueError(
             f"kernel_direction requires more columns than rows, got {n_rows}x{n_cols}"
         )
-    rows_int = []
-    for row in matrix:
-        fracs = [Fraction(x) for x in row]
-        scale = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        rows_int.append([int(f * scale) for f in fracs])
-    return _kernel_int(rows_int, n_cols)
+    # n_rows+1 columns always hold a dependent one; scaling a row to
+    # integers leaves the kernel unchanged
+    rows_int: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(matrix):
+        fracs = [Fraction(x) for x in row[: n_rows + 1]]
+        scale = math.lcm(*(f.denominator for f in fracs))
+        rows_int[i] = {c: int(f * scale) for c, f in enumerate(fracs) if f}
+    w, j = _first_dependent(rows_int, n_rows + 1)
+    d = [Fraction(x, abs(w[j])) for x in w]
+    d.extend(Fraction(0) for _ in range(n_cols - j - 1))
+    return d
 
 
 def step_to_boundary(
-    h: Sequence[Fraction], d: Sequence[Fraction]
+    h: Sequence[Fraction], d: Sequence[Fraction | int]
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Largest t > 0 with h + t*d inside [0, 1], and the positions that
     land exactly on 0 or 1 at that t.
 
-    Components with d = 0 never move; every h must be strictly interior.
+    Entries are exact: Fractions or ints. Components with d = 0 never move;
+    every h must be strictly interior.
     """
     if len(h) != len(d):
         raise ValueError("h and d must have equal length")
-    bounds: list[tuple[int, Fraction]] = []
+    # the bound of each moving component is kept as num/den with den > 0
+    # and compared by cross-multiplication; only t* becomes a Fraction
+    t_num, t_den = 0, 0
+    hits: list[int] = []
     for i, (hi, di) in enumerate(zip(h, d)):
-        hi = Fraction(hi)
-        di = Fraction(di)
-        if not 0 < hi < 1:
+        hn, hq = hi.numerator, hi.denominator
+        if not 0 < hn < hq:
             raise ValueError(f"h[{i}] = {hi} is not strictly inside (0, 1)")
-        if di > 0:
-            bounds.append((i, (1 - hi) / di))
-        elif di < 0:
-            bounds.append((i, hi / -di))
-    if not bounds:
+        dn = di.numerator
+        if dn > 0:
+            num, den = (hq - hn) * di.denominator, hq * dn
+        elif dn < 0:
+            num, den = hn * di.denominator, -hq * dn
+        else:
+            continue
+        if not t_den or num * t_den < t_num * den:
+            t_num, t_den = num, den
+            hits = [i]
+        elif num * t_den == t_num * den:
+            hits.append(i)
+    if not t_den:
         raise ValueError("direction has no movable component")
-    t_star = min(b for _, b in bounds)
-    hits = tuple(i for i, b in bounds if b == t_star)
-    return t_star, hits
+    return Fraction(t_num, t_den), tuple(hits)
 
 
-def finalize_low_degree(state: RoundingState, h_graph: Hypergraph) -> dict[int, Fraction]:
-    """Round the leftover fractional edges to the nearer integer (ties up).
+def finalize_low_degree(
+    h_graph: Hypergraph, h: Mapping[int, Fraction]
+) -> dict[int, Fraction]:
+    """Round the leftover fractional edges h (edge -> value) to the nearer
+    integer (ties up).
 
     Only legal once every vertex has fractional degree at most rank; the
     at-most-r remaining edges per vertex each move by strictly less than 1,
@@ -243,7 +220,7 @@ def finalize_low_degree(state: RoundingState, h_graph: Hypergraph) -> dict[int, 
     """
     r = h_graph.rank()
     frac_deg: dict[int, int] = {}
-    for e in state.frac_edges:
+    for e in h:
         for v in h_graph.edges[e]:
             frac_deg[v] = frac_deg.get(v, 0) + 1
     for v, fd in frac_deg.items():
@@ -255,9 +232,7 @@ def finalize_low_degree(state: RoundingState, h_graph: Hypergraph) -> dict[int, 
                 rank=r,
             )
     half = Fraction(1, 2)
-    return {
-        e: Fraction(1) if state.h[e] >= half else Fraction(0) for e in state.frac_edges
-    }
+    return {e: _ONE if val >= half else _ZERO for e, val in h.items()}
 
 
 def round_weights(
@@ -268,7 +243,8 @@ def round_weights(
 
     Entries of z already in {0, 1} are returned unchanged. The trace
     records, per kernel-walk iteration, the constrained-set size, the
-    fractional edge count, the step length, and the edges fixed.
+    fractional edge count, the step length along the kernel vector of the
+    kernel_direction convention, and the edges fixed.
 
     verify_invariants additionally recomputes the conservation and
     interiority invariants every iteration (intended for tests; it is
@@ -278,6 +254,7 @@ def round_weights(
     if len(z) != m:
         raise ValueError(f"weighting has {len(z)} entries for {m} edges")
     r = h_graph.rank()
+    edges = h_graph.edges
     x: list[Fraction | None] = [None] * m
     h: dict[int, Fraction] = {}
     for e in range(m):
@@ -286,11 +263,12 @@ def round_weights(
             x[e] = w
         else:
             h[e] = w
+    frac = list(h)  # the fractional edges, ascending
     frac_deg = [0] * h_graph.n_vertices
-    for e in h:
-        for v in h_graph.edges[e]:
+    for e in frac:
+        for v in edges[e]:
             frac_deg[v] += 1
-    constrained = [v for v in range(h_graph.n_vertices) if frac_deg[v] >= r + 1]
+    constrained = [v for v in range(h_graph.n_vertices) if frac_deg[v] > r]
 
     target_sums: dict[int, Fraction] = {}
     if verify_invariants:
@@ -304,49 +282,47 @@ def round_weights(
         if verify_invariants:
             _check_conservation(h_graph, x, h, constrained, target_sums)
         s = len(constrained)
-        frac_list = sorted(h)
-        if len(frac_list) <= s:
+        if len(frac) <= s:
             raise InvariantBreach(
                 "constrained incidence system must have more columns than rows",
                 rows=s,
-                cols=len(frac_list),
+                cols=len(frac),
             )
-        cols = frac_list[: s + 1]
-        col_index = {e: j for j, e in enumerate(cols)}
-        rows_int = [[0] * len(cols) for _ in range(s)]
-        for i, v in enumerate(constrained):
-            for e in h_graph.incident_edges(v):
-                j = col_index.get(e)
-                if j is not None:
-                    rows_int[i][j] = 1
-        d = _kernel_int(rows_int, len(cols))
-        support = [(cols[j], d[j]) for j in range(len(cols)) if d[j]]
-        t_star, hits = step_to_boundary(
-            [h[e] for e, _ in support], [de for _, de in support]
-        )
+        # s+1 columns of s rows always hold a dependent column
+        cols = frac[: s + 1]
+        rows: dict[int, dict[int, int]] = {}
+        for c, e in enumerate(cols):
+            for v in edges[e]:
+                if frac_deg[v] > r:
+                    if v in rows:
+                        rows[v][c] = 1
+                    else:
+                        rows[v] = {c: 1}
+        w, j = _first_dependent(rows, s + 1)
+        support = [(e, we) for e, we in zip(cols, w) if we]
+        t, hits = step_to_boundary([h[e] for e, _ in support], [we for _, we in support])
         hit_set = set(hits)
         fixed_now = []
-        for idx, (e, de) in enumerate(support):
-            new = h[e] + t_star * de
+        tn, tq = t.numerator, t.denominator
+        for idx, (e, we) in enumerate(support):
             if idx in hit_set:
-                x[e] = new
+                x[e] = _ONE if we > 0 else _ZERO
                 del h[e]
                 fixed_now.append(e)
-                for v in h_graph.edges[e]:
+                for v in edges[e]:
                     frac_deg[v] -= 1
             else:
-                h[e] = new
-        steps.append(TraceStep(s, len(frac_list), t_star, tuple(fixed_now)))
-        constrained = [v for v in constrained if frac_deg[v] >= r + 1]
+                # h + t*w over one common denominator
+                he = h[e]
+                hq = he.denominator
+                h[e] = Fraction(he.numerator * tq + tn * we * hq, hq * tq)
+        # the kernel_direction vector is w / |w[j]|, so its step is t * |w[j]|
+        steps.append(TraceStep(s, len(frac), t * abs(w[j]), tuple(fixed_now)))
+        frac = [e for e in cols if e in h] + frac[s + 1 :]
+        constrained = [v for v in constrained if frac_deg[v] > r]
 
     if h:
-        state = RoundingState(
-            frac_edges=tuple(sorted(h)),
-            fixed={e: int(x[e]) for e in range(m) if x[e] is not None},
-            h=dict(h),
-            constrained=(),
-        )
-        for e, val in finalize_low_degree(state, h_graph).items():
+        for e, val in finalize_low_degree(h_graph, h).items():
             x[e] = val
 
     result = Weighting(x)

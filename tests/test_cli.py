@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 
+import hypermaj
 from hypermaj.genlab import verify
 from hypermaj.hypercore import parse_colouring, parse_hypergraph, parse_weights
 
@@ -256,3 +258,16 @@ def test_emit_split_file(tmp_path):
     u, t, m_colon = lines[0].split()[:3]
     assert u == "1"
     assert int(t) == h.degree(0) // 2
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(hypermaj.__file__))
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, hypermaj.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from hypermaj.errors import PreconditionError
+from hypermaj import lll
+from hypermaj.errors import InvariantBreach, PreconditionError
 from hypermaj.genlab import GenSpec, generate, verify
 from hypermaj.hypercore import Colouring, Hypergraph
 from hypermaj.lll import (
@@ -85,6 +86,13 @@ def test_threshold_exceeds_first_inequality_bound():
 def test_threshold_monotone_in_r():
     assert threshold(2, 2) <= threshold(2, 3) <= threshold(2, 4)
     assert threshold(3, 2) <= threshold(3, 3)
+
+
+def test_threshold_rejects_inequalities_at_stationary_point(monkeypatch):
+    # a raise, not an assert, so that the guard survives python -O
+    monkeypatch.setattr(lll, "inequalities_hold", lambda k, r, delta: True)
+    with pytest.raises(InvariantBreach):
+        threshold(2, 2)
 
 
 def test_threshold_details_at_star():

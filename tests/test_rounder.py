@@ -1,14 +1,18 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermaj.errors import InvariantBreach
+from hypermaj.genlab import GenSpec, generate
 from hypermaj.hypercore import Hypergraph, Weighting
+from hypermaj.partition import alpha_schedule
 from hypermaj.rounder import (
-    RoundingState,
-    build_system,
+    TraceStep,
     finalize_low_degree,
     kernel_direction,
     round_weights,
@@ -134,6 +138,29 @@ def test_kernel_matches_reference_on_random_rationals():
             assert sum(a * b for a, b in zip(row, d)) == 0
 
 
+@st.composite
+def kernel_matrices(draw):
+    n_rows = draw(st.integers(1, 7))
+    n_cols = n_rows + draw(st.integers(1, 4))
+    entries = draw(
+        st.sampled_from(
+            [
+                st.integers(0, 1),
+                st.integers(-9, 9),
+                st.builds(F, st.integers(-6, 6), st.integers(1, 5)),
+            ]
+        )
+    )
+    row = st.lists(entries, min_size=n_cols, max_size=n_cols)
+    return draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_matrices())
+def test_kernel_matches_reference_property(mat):
+    assert kernel_direction(mat) == reference_kernel(mat)
+
+
 def test_kernel_big_entries_stay_exact():
     # large integer entries push the elimination past the fixed-width
     # fast path; results must still agree with the rational oracle
@@ -178,56 +205,40 @@ def test_step_to_boundary_errors():
         step_to_boundary([F(1, 2)], [F(1), F(1)])
 
 
-def test_build_system_star():
+def test_round_star_system():
+    # one constrained vertex over three fractional edges: the system is
+    # [[1, 1, 1]] with kernel (1, -1, 0)
     h = Hypergraph(4, [(0, 1), (0, 2), (0, 3)])
-    state = RoundingState(
-        frac_edges=(0, 1, 2),
-        fixed={},
-        h={e: F(2, 3) for e in range(3)},
-        constrained=(0,),
-    )
-    assert build_system(state, h) == [[1, 1, 1]]
+    x, trace = round_weights(h, Weighting([F(2, 3)] * 3), verify_invariants=True)
+    assert trace.iterations == (TraceStep(1, 3, F(1, 3), (0,)),)
+    assert x.weights == (F(1), F(0), F(1))
 
 
-def test_build_system_block_diagonal():
-    # two constrained vertices with disjoint fractional stars
+def test_round_block_diagonal_system():
+    # two constrained vertices with disjoint fractional stars; the first
+    # window [[1, 1, 1], [0, 0, 0]] has an empty row, the second an empty
+    # column, whose unit vector is the kernel
     h = Hypergraph(8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)])
-    state = RoundingState(
-        frac_edges=(0, 1, 2, 3, 4, 5),
-        fixed={},
-        h={e: F(1, 2) for e in range(6)},
-        constrained=(0, 4),
+    x, trace = round_weights(h, Weighting([F(1, 2)] * 6), verify_invariants=True)
+    assert trace.iterations == (
+        TraceStep(2, 6, F(1, 2), (0, 1)),
+        TraceStep(1, 4, F(1, 2), (2,)),
+        TraceStep(1, 3, F(1, 2), (3, 4)),
     )
-    a = build_system(state, h)
-    assert a == [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]]
-
-
-def test_build_system_guards():
-    h = Hypergraph(4, [(0, 1), (0, 2), (0, 3)])
-    empty = RoundingState((0, 1, 2), {}, {e: F(1, 2) for e in range(3)}, ())
-    with pytest.raises(ValueError):
-        build_system(empty, h)
-    squeezed = RoundingState((0,), {1: 1, 2: 0}, {0: F(1, 2)}, (0,))
-    with pytest.raises(InvariantBreach):
-        build_system(squeezed, h)
+    assert x.weights == (F(1), F(0), F(1), F(1), F(0), F(1))
 
 
 def test_finalize_threshold_rule():
     h = Hypergraph(2, [(0, 1)])
-    low = RoundingState((0,), {}, {0: F(1, 3)}, ())
-    assert finalize_low_degree(low, h) == {0: F(0)}
-    tie = RoundingState((0,), {}, {0: F(1, 2)}, ())
-    assert finalize_low_degree(tie, h) == {0: F(1)}
-    assert finalize_low_degree(RoundingState((), {}, {}, ()), h) == {}
+    assert finalize_low_degree(h, {0: F(1, 3)}) == {0: F(0)}
+    assert finalize_low_degree(h, {0: F(1, 2)}) == {0: F(1)}
+    assert finalize_low_degree(h, {}) == {}
 
 
 def test_finalize_rejects_constrained_leftovers():
     h = Hypergraph(4, [(0, 1), (0, 2), (0, 3)])
-    state = RoundingState(
-        (0, 1, 2), {}, {e: F(1, 3) for e in range(3)}, ()
-    )
     with pytest.raises(InvariantBreach):
-        finalize_low_degree(state, h)
+        finalize_low_degree(h, {e: F(1, 3) for e in range(3)})
 
 
 def test_round_integral_input_is_identity():
@@ -330,3 +341,56 @@ def test_round_small_instances_match_brute_force():
         assert feasible
         x, _ = round_weights(h, z)
         assert tuple(int(w) for w in x.weights) in feasible
+
+
+# sha256 of golden_rounding_digest(), recorded with the dense Bareiss kernel
+# that preceded the sparse one; a change to any rounded weight or trace step
+# of these calls changes it.
+GOLDEN_ROUNDING_SHA256 = "ccfe05f9cad0257f141967fcddb3b1438c6c65cbc0618afe9c99ce01c31c2559"
+
+
+def golden_rounding_calls():
+    """Seeded round_weights calls, yielding (h, z, x, trace).
+
+    Alpha weights on uniform instances with r = 2, 3 at min degree 2rk^2,
+    chained over the k = 2 peeling rounds as the partition colourer does,
+    then random rationals with mixed denominators on uniform instances.
+    """
+    k = 2
+    for r in (2, 3):
+        for n in (8, 11, 14):
+            for seed in (1, 2):
+                h = generate(GenSpec("uniform", n, r, 2 * r * k * k, seed))
+                remaining = set(range(len(h.edges)))
+                for a in alpha_schedule(h.min_degree(), k, r).alphas:
+                    z = Weighting([a if e in remaining else 0 for e in range(len(h.edges))])
+                    x, trace = round_weights(h, z)
+                    remaining -= {e for e in remaining if x[e] == 1}
+                    yield h, z, x, trace
+    rng = random.Random(2024)
+    for n, r, d in ((12, 2, 10), (10, 3, 12), (14, 2, 12), (9, 3, 8)):
+        h = generate(GenSpec("uniform", n, r, d, rng.randrange(2**31)))
+        for _ in range(2):
+            z = []
+            for _ in h.edges:
+                q = rng.choice((2, 3, 5, 7, 12, 97, 1000))
+                z.append(F(rng.randint(1, q - 1), q))
+            z = Weighting(z)
+            x, trace = round_weights(h, z)
+            yield h, z, x, trace
+
+
+def golden_rounding_digest():
+    digest = hashlib.sha256()
+    for _, _, x, trace in golden_rounding_calls():
+        digest.update(",".join(str(w) for w in x.weights).encode())
+        for step in trace.iterations:
+            digest.update(
+                f"|{step.n_constrained} {step.n_frac} {step.step} {step.fixed}".encode()
+            )
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def test_round_weights_golden_digest():
+    assert golden_rounding_digest() == GOLDEN_ROUNDING_SHA256
