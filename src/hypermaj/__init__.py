@@ -60,7 +60,6 @@ from .lll import (
     threshold_details,
 )
 from .partition import (
-    AlphaSchedule,
     alpha,
     alpha_schedule,
     colour_partition,
@@ -77,7 +76,6 @@ from .rounder import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaSchedule",
     "Colouring",
     "FormatError",
     "GenSpec",

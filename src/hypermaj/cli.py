@@ -29,7 +29,6 @@ from fractions import Fraction
 from .errors import FormatError, GenerationError, InvariantBreach, PreconditionError
 from .genlab import GEN_MODELS, GenSpec, brute_force, generate, verify
 from .hypercore import (
-    Colouring,
     parse_colouring,
     parse_hypergraph,
     parse_weights,
@@ -39,7 +38,7 @@ from .hypercore import (
 )
 from .linearhg import colour_linear, split_hypergraph
 from .lll import resample_colour, threshold_details
-from .partition import colour_partition, partition_rounds
+from .partition import partition_rounds
 from .rounder import round_weights
 
 DEFAULT_SEED = 1729
@@ -152,22 +151,12 @@ def _cmd_colour(args, rep: Reporter) -> int:
     k = args.k
 
     if args.algorithm == "partition":
-        state, schedule = partition_rounds(h_graph, k)
-        colours = [0] * len(h_graph.edges)
-        for ci, cls in enumerate(state.classes, start=1):
-            for e in cls:
-                colours[e] = ci
-        colouring = Colouring(colours, k + 1)
-        trace_rows = [
-            {"round": i, "alpha": a, "class_size": len(cls)}
-            for i, (a, cls) in enumerate(
-                zip(schedule.alphas, state.classes), start=1
-            )
-        ]
+        colouring, alphas = partition_rounds(h_graph, k)
         data_on_stdout = _deliver(serialize_colouring(colouring), args.output)
         result_stream = sys.stderr if data_on_stdout else sys.stdout
         if args.trace:
-            for row in trace_rows:
+            for i, a in enumerate(alphas, start=1):
+                row = {"round": i, "alpha": a, "class_size": colouring.colours.count(i)}
                 rep.emit(
                     "round",
                     row,
@@ -177,14 +166,8 @@ def _cmd_colour(args, rep: Reporter) -> int:
                     ),
                 )
     elif args.algorithm == "linear":
-        witness = h_graph.linearity_witness()
-        if witness is not None:
-            raise PreconditionError(
-                f"input is not linear: edges {witness[0] + 1} and "
-                f"{witness[1] + 1} share two or more vertices"
-            )
         if args.emit_split:
-            h_star, smap = split_hypergraph(h_graph, k)
+            _, smap = split_hypergraph(h_graph, k)
             _atomic_write(args.emit_split, _split_lines(smap))
         colouring = colour_linear(h_graph, k)
         data_on_stdout = _deliver(serialize_colouring(colouring), args.output)

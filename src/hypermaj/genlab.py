@@ -60,17 +60,18 @@ def verify(h: Hypergraph, k: int, colouring: Colouring) -> VerifyReport:
             f"colouring has {len(colouring)} entries for {len(h.edges)} edges"
         )
     counts: list[dict[int, int]] = [dict() for _ in range(h.n_vertices)]
-    for e, fs in enumerate(h.edges):
-        c = colouring[e]
+    for c, fs in zip(colouring.colours, h.edges):
         for v in fs:
-            counts[v][c] = counts[v].get(c, 0) + 1
+            per = counts[v]
+            per[c] = per.get(c, 0) + 1
     violations = []
-    for v in range(h.n_vertices):
-        bound = h.degree(v) // k
-        for c in sorted(counts[v]):
-            n = counts[v][c]
-            if n > bound:
-                violations.append(Violation(v, c, n, bound))
+    for v, d in enumerate(h.degrees()):
+        per = counts[v]
+        bound = d // k
+        if per and max(per.values()) > bound:
+            violations.extend(
+                Violation(v, c, per[c], bound) for c in sorted(per) if per[c] > bound
+            )
     return VerifyReport(valid=not violations, violations=tuple(violations))
 
 
@@ -131,13 +132,17 @@ class GenSpec:
 
     def __post_init__(self):
         if self.model not in GEN_MODELS:
-            raise ValueError(f"unknown model {self.model!r}; choose from {GEN_MODELS}")
+            raise PreconditionError(
+                f"unknown model {self.model!r}; choose from {GEN_MODELS}"
+            )
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise PreconditionError(f"n must be at least 1, got {self.n}")
         if self.r < 1:
-            raise ValueError("r must be at least 1")
+            raise PreconditionError(f"r must be at least 1, got {self.r}")
         if self.min_degree < 0:
-            raise ValueError("min_degree must be non-negative")
+            raise PreconditionError(
+                f"min_degree must be non-negative, got {self.min_degree}"
+            )
 
 
 def generate(spec: GenSpec) -> Hypergraph:

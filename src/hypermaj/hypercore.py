@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import FormatError
 
@@ -165,9 +165,6 @@ class Weighting:
     def __getitem__(self, i: int) -> Fraction:
         return self.weights[i]
 
-    def is_integral(self) -> bool:
-        return all(w.denominator == 1 for w in self.weights)
-
 
 def _decode(text: str | bytes) -> str:
     if isinstance(text, bytes):
@@ -269,10 +266,8 @@ def parse_colouring(text: str | bytes) -> Colouring:
         raise FormatError(lines[start][0] if len(lines) > start else 1, str(exc)) from None
 
 
-def serialize_colouring(c: Colouring, include_palette: bool = True) -> str:
-    lines = []
-    if include_palette:
-        lines.append(f"# palette {c.palette_size}")
+def serialize_colouring(c: Colouring) -> str:
+    lines = [f"# palette {c.palette_size}"]
     lines.extend(str(col) for col in c.colours)
     return "\n".join(lines) + "\n"
 

@@ -20,9 +20,8 @@ edge-id order, and the greedy scan also runs in ascending node order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .errors import PreconditionError
+from .errors import InvariantBreach, PreconditionError
 from .hypercore import Colouring, Hypergraph
 
 __all__ = [
@@ -50,17 +49,11 @@ class VertexSplit:
 
 @dataclass(frozen=True)
 class SplitMap:
-    """Per-vertex splits plus each vertex's offset into the sub-vertex
-    numbering, so sub-vertex j of u is global id offsets[u] + j."""
+    """Per-vertex splits; sub-vertices are numbered vertex by vertex, so
+    sub-vertex j of u has global id j plus the t of all vertices before
+    u."""
 
     splits: tuple[VertexSplit, ...]
-    offsets: tuple[int, ...]
-
-    def sub_vertex(self, u: int, edge_id: int) -> int:
-        for j, block in enumerate(self.splits[u].blocks):
-            if edge_id in block:
-                return self.offsets[u] + j
-        raise KeyError(f"edge {edge_id} is not incident to vertex {u}")
 
 
 @dataclass(frozen=True)
@@ -70,9 +63,6 @@ class LineGraph:
 
     n_nodes: int
     neighbours: tuple[tuple[int, ...], ...]
-
-    def degree(self, node: int) -> int:
-        return len(self.neighbours[node])
 
     def max_degree(self) -> int:
         return max((len(nb) for nb in self.neighbours), default=0)
@@ -97,46 +87,50 @@ def split_hypergraph(h_graph: Hypergraph, k: int) -> tuple[Hypergraph, SplitMap]
     witness = h_graph.linearity_witness()
     if witness is not None:
         raise PreconditionError(
-            f"input is not linear: edges {witness[0]} and {witness[1]}"
+            f"input is not linear: edges {witness[0] + 1} and {witness[1] + 1}"
             " share two or more vertices"
         )
-    delta = h_graph.min_degree()
+    delta = min(h_graph.degrees(), default=k * k - k)
     if delta < k * k - k:
         raise PreconditionError(
             f"min degree {delta} below k^2 - k = {k * k - k} for k = {k}"
         )
     splits: list[VertexSplit] = []
-    offsets: list[int] = []
+    sub_of: list[dict[int, int]] = []
     total = 0
     for u in range(h_graph.n_vertices):
         incident = h_graph.incident_edges(u)
         m, t = split_degrees(len(incident), k)
         blocks: list[tuple[int, ...]] = []
+        lookup: dict[int, int] = {}
         pos = 0
         for j in range(t):
             size = k + 1 if j < m else k
-            blocks.append(tuple(incident[pos : pos + size]))
+            block = tuple(incident[pos : pos + size])
+            blocks.append(block)
+            for e in block:
+                lookup[e] = total + j
             pos += size
         splits.append(VertexSplit(m, t, tuple(blocks)))
-        offsets.append(total)
-        total += t
-    smap = SplitMap(tuple(splits), tuple(offsets))
-
-    sub_of: list[dict[int, int]] = []
-    for u in range(h_graph.n_vertices):
-        lookup: dict[int, int] = {}
-        for j, block in enumerate(smap.splits[u].blocks):
-            for e in block:
-                lookup[e] = offsets[u] + j
         sub_of.append(lookup)
+        total += t
     new_edges = [
         tuple(sub_of[v][e] for v in edge) for e, edge in enumerate(h_graph.edges)
     ]
     h_star = Hypergraph(total, new_edges)
-    assert h_star.max_degree() <= k + 1
-    assert h_star.is_linear()
-    assert h_star.rank() == h_graph.rank()
-    return h_star, smap
+    max_degree = max(h_star.degrees(), default=0)
+    if max_degree > k + 1:
+        raise InvariantBreach(
+            "split left a sub-vertex above degree k+1", max_degree=max_degree, k=k
+        )
+    witness = h_star.linearity_witness()
+    if witness is not None:
+        raise InvariantBreach("split hypergraph is not linear", edges=witness)
+    if h_star.rank() != h_graph.rank():
+        raise InvariantBreach(
+            "split changed the rank", rank=h_graph.rank(), split_rank=h_star.rank()
+        )
+    return h_star, SplitMap(tuple(splits))
 
 
 def line_graph(h_star: Hypergraph) -> LineGraph:
@@ -154,21 +148,21 @@ def line_graph(h_star: Hypergraph) -> LineGraph:
     lg = LineGraph(m, tuple(tuple(sorted(s)) for s in neighbour_sets))
     if m:
         cap = h_star.rank() * max(h_star.max_degree() - 1, 0)
-        assert lg.max_degree() <= cap
+        if lg.max_degree() > cap:
+            raise InvariantBreach(
+                "line graph degree exceeded its cap",
+                max_degree=lg.max_degree(),
+                cap=cap,
+            )
     return lg
 
 
-def greedy_colour(lg: LineGraph, order: Sequence[int] | None = None) -> tuple[int, ...]:
-    """First-fit proper node colouring. Each node gets the smallest
-    colour unused among its already-coloured neighbours, so no colour
-    exceeds its degree + 1. Default order is ascending node id."""
-    if order is None:
-        order = range(lg.n_nodes)
-    else:
-        if sorted(order) != list(range(lg.n_nodes)):
-            raise ValueError("order must be a permutation of the node ids")
+def greedy_colour(lg: LineGraph) -> tuple[int, ...]:
+    """First-fit proper node colouring in ascending node order. Each node
+    gets the smallest colour unused among its already-coloured
+    neighbours, so no colour exceeds its degree + 1."""
     colours = [0] * lg.n_nodes
-    for node in order:
+    for node in range(lg.n_nodes):
         used = {colours[nb] for nb in lg.neighbours[node] if colours[nb]}
         c = 1
         while c in used:
@@ -184,5 +178,9 @@ def colour_linear(h_graph: Hypergraph, k: int) -> Colouring:
     h_star, _ = split_hypergraph(h_graph, k)
     colours = greedy_colour(line_graph(h_star))
     palette = k * h_graph.rank() + 1
-    assert all(c <= palette for c in colours)
+    top = max(colours, default=0)
+    if top > palette:
+        raise InvariantBreach(
+            "greedy colouring exceeded the k*rank+1 palette", colour=top, palette=palette
+        )
     return Colouring(colours, palette)

@@ -21,24 +21,24 @@ far above 1 for every k, r >= 2, so every passing delta lies strictly
 beyond the stationary point, where both sides are decreasing and a
 single upward scan finds the least delta that passes for good.
 
-Inequalities are evaluated at 40 significant digits with a relative
-safety margin of 2^-30: a left-hand side within the margin of 1 counts
-as failing, so borderline roundoff can only make the reported threshold
-larger, never unsound.
+Inequalities are evaluated in stdlib decimal arithmetic at 40
+significant digits (the exponential by Decimal.exp, correctly rounded)
+with a relative safety margin of 2^-30: a left-hand side within the
+margin of 1 counts as failing, so borderline roundoff can only make the
+reported threshold larger, never unsound.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import mpmath
+from decimal import Decimal, localcontext
 
 from .errors import InvariantBreach, PreconditionError
+from .genlab import verify
 from .hypercore import Colouring, Hypergraph
 
 __all__ = [
-    "ThresholdQuery",
     "ResampleRun",
     "inequalities_hold",
     "threshold",
@@ -48,25 +48,9 @@ __all__ = [
     "resample_colour",
 ]
 
-_MARGIN_BITS = 30
-_WORK_DPS = 40
-
-
-@dataclass(frozen=True)
-class ThresholdQuery:
-    """A (k, r, delta) candidate for the two threshold inequalities."""
-
-    k: int
-    r: int
-    delta: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise PreconditionError(f"k must be at least 2, got {self.k}")
-        if self.r < 2:
-            raise PreconditionError(f"r must be at least 2, got {self.r}")
-        if self.delta < 1:
-            raise PreconditionError(f"delta must be at least 1, got {self.delta}")
+_WORK_DIGITS = 40
+# 1 - 2^-30 is exact in binary, and Decimal converts a float exactly
+_CUTOFF = Decimal(1 - 2.0**-30)
 
 
 @dataclass(frozen=True)
@@ -85,21 +69,27 @@ class ResampleRun:
     colouring: Colouring
 
 
-def _lhs_values(k: int, r: int, delta: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-    decay = mpmath.exp(mpmath.mpf(-delta) / (3 * k * k * (k + 1)))
-    lhs1 = 4 * (k + 1) * decay
-    lhs2 = 8 * (k + 1) * (r - 1) * decay * delta
-    return lhs1, lhs2
+def _lhs_values(k: int, r: int, delta: int) -> tuple[Decimal, Decimal]:
+    """Both left-hand sides at delta, to _WORK_DIGITS significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = _WORK_DIGITS
+        decay = (Decimal(-delta) / (3 * k * k * (k + 1))).exp()
+        lhs1 = 4 * (k + 1) * decay
+        lhs2 = 8 * (k + 1) * (r - 1) * decay * delta
+        return lhs1, lhs2
 
 
 def inequalities_hold(k: int, r: int, delta: int) -> bool:
     """Whether both threshold inequalities hold at (k, r, delta),
     with the safety margin counted against the candidate."""
-    ThresholdQuery(k, r, delta)
-    with mpmath.workdps(_WORK_DPS):
-        lhs1, lhs2 = _lhs_values(k, r, delta)
-        cutoff = 1 - mpmath.mpf(2) ** -_MARGIN_BITS
-        return bool(lhs1 <= cutoff and lhs2 <= cutoff)
+    if k < 2:
+        raise PreconditionError(f"k must be at least 2, got {k}")
+    if r < 2:
+        raise PreconditionError(f"r must be at least 2, got {r}")
+    if delta < 1:
+        raise PreconditionError(f"delta must be at least 1, got {delta}")
+    lhs1, lhs2 = _lhs_values(k, r, delta)
+    return lhs1 <= _CUTOFF and lhs2 <= _CUTOFF
 
 
 def threshold(k: int, r: int) -> int:
@@ -129,9 +119,8 @@ def threshold_details(k: int, r: int) -> tuple[int, float, float]:
     """(delta*, lhs1, lhs2) with the left-hand sides evaluated at
     delta*."""
     delta = threshold(k, r)
-    with mpmath.workdps(_WORK_DPS):
-        lhs1, lhs2 = _lhs_values(k, r, delta)
-        return delta, float(lhs1), float(lhs2)
+    lhs1, lhs2 = _lhs_values(k, r, delta)
+    return delta, float(lhs1), float(lhs2)
 
 
 def random_colouring(h_graph: Hypergraph, k: int, seed: int) -> Colouring:
@@ -146,28 +135,13 @@ def random_colouring(h_graph: Hypergraph, k: int, seed: int) -> Colouring:
 
 
 def bad_vertices(h_graph: Hypergraph, colouring: Colouring, k: int) -> set[int]:
-    """Vertices where some colour appears more than d(v)/k times.
-
-    Counts are integers, so the cut is count * k > d(v), the same test
-    the majority verifier applies.
-    """
+    """Vertices where some colour appears more than d(v)/k times: the
+    vertices of the majority verifier's violations."""
     if colouring.palette_size != k + 1:
         raise ValueError(
             f"palette size {colouring.palette_size} does not match k+1 = {k + 1}"
         )
-    if len(colouring) != len(h_graph.edges):
-        raise ValueError("colouring length does not match edge count")
-    bad: set[int] = set()
-    counts: list[dict[int, int]] = [dict() for _ in range(h_graph.n_vertices)]
-    for e, edge in enumerate(h_graph.edges):
-        c = colouring[e]
-        for v in edge:
-            counts[v][c] = counts[v].get(c, 0) + 1
-    for v in range(h_graph.n_vertices):
-        d = h_graph.degree(v)
-        if counts[v] and max(counts[v].values()) * k > d:
-            bad.add(v)
-    return bad
+    return {vio.vertex for vio in verify(h_graph, k, colouring).violations}
 
 
 def resample_colour(

@@ -22,45 +22,20 @@ step drifted off its guarantee and is reported as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import InvariantBreach, PreconditionError
 from .hypercore import Colouring, Hypergraph, Weighting
 from .rounder import round_weights
 
 __all__ = [
-    "PartitionState",
-    "AlphaSchedule",
     "alpha",
     "alpha_schedule",
     "check_class_bounds",
     "partition_rounds",
     "colour_partition",
 ]
-
-
-@dataclass(frozen=True)
-class PartitionState:
-    """Snapshot of the peeling process.
-
-    remaining holds the edges not yet coloured; classes holds the colour
-    classes extracted so far, in extraction order. delta and r are the
-    minimum degree and rank of the original input and never change.
-    """
-
-    remaining: frozenset[int]
-    classes: tuple[tuple[int, ...], ...]
-    delta: int
-    k: int
-    r: int
-
-
-@dataclass(frozen=True)
-class AlphaSchedule:
-    """The k per-round weights, exact rationals strictly inside (0, 1)."""
-
-    alphas: tuple[Fraction, ...]
 
 
 def alpha(i: int, delta: int, k: int, r: int) -> Fraction:
@@ -83,43 +58,46 @@ def alpha(i: int, delta: int, k: int, r: int) -> Fraction:
     return num / den
 
 
-def alpha_schedule(delta: int, k: int, r: int) -> AlphaSchedule:
-    """All k round weights for the given parameters."""
+def alpha_schedule(delta: int, k: int, r: int) -> tuple[Fraction, ...]:
+    """All k round weights, exact rationals strictly inside (0, 1)."""
     alphas = tuple(alpha(i, delta, k, r) for i in range(1, k + 1))
     for i, a in enumerate(alphas, start=1):
         if not 0 < a < 1:
             raise InvariantBreach(
                 "round weight escaped (0, 1)", i=i, alpha=a, delta=delta, k=k, r=r
             )
-    return AlphaSchedule(alphas)
+    return alphas
 
 
 def check_class_bounds(
     h_graph: Hypergraph,
-    state: PartitionState,
     i: int,
-    class_edges: tuple[int, ...],
+    class_edges: Iterable[int],
+    remaining: Iterable[int],
+    delta: int,
+    k: int,
+    r: int,
 ) -> None:
     """Assert the round-i degree bounds at every vertex, exactly.
 
+    delta and r are the minimum degree and rank of the original input.
     With B = d(v)/delta: the freshly extracted class may meet v at most
     B*delta/k times, and the remaining edges at most
     B*(delta - i*(delta/k - 2r)) times. These are the induction
     invariants of the peeling argument; a breach is a rounder bug, not a
     property of the input.
     """
-    delta, k, r = state.delta, state.k, state.r
     class_deg = [0] * h_graph.n_vertices
     for e in class_edges:
         for v in h_graph.edges[e]:
             class_deg[v] += 1
     rem_deg = [0] * h_graph.n_vertices
-    for e in state.remaining:
+    for e in remaining:
         for v in h_graph.edges[e]:
             rem_deg[v] += 1
     rem_factor = delta - i * (Fraction(delta, k) - 2 * r)
-    for v in range(h_graph.n_vertices):
-        b = Fraction(h_graph.degree(v), delta)
+    for v, d in enumerate(h_graph.degrees()):
+        b = Fraction(d, delta)
         class_bound = b * Fraction(delta, k)
         if class_deg[v] > class_bound:
             raise InvariantBreach(
@@ -140,55 +118,46 @@ def check_class_bounds(
             )
 
 
-def partition_rounds(h_graph: Hypergraph, k: int) -> tuple[PartitionState, AlphaSchedule]:
-    """Run the k extraction rounds and return the final state.
+def partition_rounds(
+    h_graph: Hypergraph, k: int
+) -> tuple[Colouring, tuple[Fraction, ...]]:
+    """Run the k extraction rounds; return the colouring and the round
+    weights.
 
-    state.classes has k+1 entries, the last being the residual class.
-    Raises a precondition error when k < 2 or the minimum degree is below
-    2 * rank * k^2; the message reports all three parameters and the bound.
+    Colour i (1 <= i <= k) is the class extracted in round i with weight
+    alphas[i-1]; colour k+1 is the residual class. Raises a precondition
+    error when k < 2 or the minimum degree is below 2 * rank * k^2; the
+    message reports all three parameters and the bound.
     """
     if k < 2:
         raise PreconditionError(f"k must be at least 2, got {k}")
     m = len(h_graph.edges)
     r = h_graph.rank()
     if m == 0:
-        return (
-            PartitionState(frozenset(), ((),) * (k + 1), 0, k, 0),
-            AlphaSchedule(()),
-        )
+        return Colouring((), k + 1), ()
     delta = h_graph.min_degree()
     bound = 2 * r * k * k
     if delta < bound:
         raise PreconditionError(
             f"min degree {delta} with rank {r} and k {k} requires at least {bound}"
         )
-    schedule = alpha_schedule(delta, k, r)
+    alphas = alpha_schedule(delta, k, r)
+    colours = [k + 1] * m
     remaining: set[int] = set(range(m))
-    classes: list[tuple[int, ...]] = []
     zero = Fraction(0)
-    for i in range(1, k + 1):
-        a = schedule.alphas[i - 1]
+    for i, a in enumerate(alphas, start=1):
         z = Weighting([a if e in remaining else zero for e in range(m)])
         x, _ = round_weights(h_graph, z)
-        class_i = tuple(sorted(e for e in remaining if x[e] == 1))
+        class_i = [e for e in remaining if x[e] == 1]
         remaining.difference_update(class_i)
-        classes.append(class_i)
-        state = PartitionState(frozenset(remaining), tuple(classes), delta, k, r)
-        check_class_bounds(h_graph, state, i, class_i)
-    classes.append(tuple(sorted(remaining)))
-    return (
-        PartitionState(frozenset(), tuple(classes), delta, k, r),
-        schedule,
-    )
+        for e in class_i:
+            colours[e] = i
+        check_class_bounds(h_graph, i, class_i, remaining, delta, k, r)
+    return Colouring(colours, k + 1), alphas
 
 
 def colour_partition(h_graph: Hypergraph, k: int) -> Colouring:
     """(k+1)-colouring in which every vertex sees each colour at most
     floor(d(v)/k) times, built by the peeling rounds.
     """
-    state, _ = partition_rounds(h_graph, k)
-    colours = [0] * len(h_graph.edges)
-    for ci, cls in enumerate(state.classes, start=1):
-        for e in cls:
-            colours[e] = ci
-    return Colouring(colours, k + 1)
+    return partition_rounds(h_graph, k)[0]

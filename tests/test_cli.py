@@ -1,9 +1,12 @@
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import hypermaj
+from hypermaj import cli, linearhg
 from hypermaj.genlab import verify
 from hypermaj.hypercore import parse_colouring, parse_hypergraph, parse_weights
 
@@ -90,6 +93,38 @@ def test_colour_linear_rejects_non_linear_input(tmp_path):
     res = run_cli("colour", "--algorithm", "linear", "--k", "2", str(hgr))
     assert res.returncode == 2
     assert "edges 1 and 2" in res.stderr
+
+
+def test_colour_linear_empty_file_exit_0(tmp_path):
+    hgr = tmp_path / "empty.hgr"
+    hgr.write_text("0 0\n")
+    res = run_cli("colour", "--algorithm", "linear", "--k", "2", str(hgr))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "# palette 1\n"
+    assert "valid=true" in res.stderr
+
+
+def test_colour_linear_internal_breach_exit_3(tmp_path, monkeypatch, capsys):
+    hgr = tmp_path / "in.hgr"
+    out = tmp_path / "out.col"
+    hgr.write_text(TRIANGLE)
+    monkeypatch.setattr(linearhg, "greedy_colour", lambda lg: (6,) * lg.n_nodes)
+    code = cli.main(
+        ["colour", "--algorithm", "linear", "--k", "2", str(hgr), "-o", str(out)]
+    )
+    assert code == 3
+    assert "internal error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_rejects_empty_sizes_exit_2(tmp_path):
+    for n, r, name in (("0", "2", "n"), ("6", "0", "r")):
+        res = run_cli(
+            "generate", "--model", "uniform", "--n", n, "--r", r,
+            "--min-degree", "2", "-o", str(tmp_path / "g.hgr"),
+        )
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == f"error: {name} must be at least 1, got 0\n"
 
 
 def test_colour_partition_below_degree_bound(tmp_path):
@@ -263,11 +298,27 @@ def test_emit_split_file(tmp_path):
 def test_cli_import_leaves_numpy_unloaded():
     src = os.path.dirname(os.path.dirname(hypermaj.__file__))
     res = subprocess.run(
-        [sys.executable, "-c", "import sys, hypermaj.cli; print('numpy' in sys.modules)"],
+        [
+            sys.executable,
+            "-c",
+            "import sys, hypermaj.cli; print('numpy' in sys.modules, 'mpmath' in sys.modules)",
+        ],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "False False"
+
+
+def test_no_assert_statements_in_package():
+    # guarantees are raised as InvariantBreach; `python -O` strips asserts
+    package = pathlib.Path(hypermaj.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

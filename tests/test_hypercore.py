@@ -197,8 +197,8 @@ def test_parse_colouring_bad_entry():
 
 def test_weighting_validation():
     w = Weighting([Fraction(1, 3), 0, 1])
-    assert not w.is_integral()
-    assert Weighting([0, 1]).is_integral()
+    assert w.weights == (Fraction(1, 3), Fraction(0), Fraction(1))
+    assert all(type(x) is Fraction for x in Weighting([0, 1]).weights)
     with pytest.raises(ValueError):
         Weighting([Fraction(3, 2)])
     with pytest.raises(ValueError):

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from hypermaj.errors import PreconditionError
+from hypermaj import linearhg
+from hypermaj.errors import InvariantBreach, PreconditionError
 from hypermaj.genlab import GenSpec, complete_graph, generate, verify
-from hypermaj.hypercore import Hypergraph
+from hypermaj.hypercore import Colouring, Hypergraph
 from hypermaj.linearhg import (
     LineGraph,
     colour_linear,
@@ -106,6 +107,8 @@ def test_split_rejects_non_linear():
     with pytest.raises(PreconditionError) as exc:
         split_hypergraph(h, 2)
     assert "linear" in str(exc.value)
+    # edges are named 1-based, as in every diagnostic
+    assert "edges 1 and 2" in str(exc.value)
 
 
 def test_line_graph_triangle():
@@ -130,7 +133,7 @@ def test_line_graph_star_is_clique():
 def test_line_graph_of_fano_is_k7():
     lg = line_graph(FANO)
     assert lg.n_nodes == 7
-    assert all(lg.degree(i) == 6 for i in range(7))
+    assert all(len(nb) == 6 for nb in lg.neighbours)
 
 
 def test_greedy_on_clique_uses_clique_size():
@@ -143,19 +146,13 @@ def test_greedy_no_edges_single_colour():
     assert greedy_colour(lg) == (1, 1, 1, 1)
 
 
-def test_greedy_path_custom_order():
+def test_greedy_path_default_order():
+    # ascending node order: node 0 takes 1, the middle 2, node 2 reuses 1;
+    # with the hub at node 0 both leaves take 2
     path = LineGraph(3, ((1,), (0, 2), (1,)))
-    # visiting both endpoints before the middle forces colour 2 there
-    assert greedy_colour(path, [0, 2, 1]) == (1, 2, 1)
     assert greedy_colour(path) == (1, 2, 1)
-
-
-def test_greedy_rejects_non_permutation():
-    lg = LineGraph(3, ((1,), (0,), ()))
-    with pytest.raises(ValueError):
-        greedy_colour(lg, [0, 1])
-    with pytest.raises(ValueError):
-        greedy_colour(lg, [0, 0, 1])
+    middle_first = LineGraph(3, ((1, 2), (0,), (0,)))
+    assert greedy_colour(middle_first) == (1, 2, 2)
 
 
 def test_greedy_properties_random():
@@ -171,7 +168,7 @@ def test_greedy_properties_random():
         lg = LineGraph(n, tuple(tuple(sorted(s)) for s in nbrs))
         colours = greedy_colour(lg)
         for node in range(n):
-            assert colours[node] <= lg.degree(node) + 1
+            assert colours[node] <= len(lg.neighbours[node]) + 1
             for nb in lg.neighbours[node]:
                 assert colours[node] != colours[nb]
 
@@ -234,3 +231,16 @@ def test_colour_linear_propagates_preconditions():
     low = Hypergraph(3, [(0, 1), (1, 2)])
     with pytest.raises(PreconditionError):
         colour_linear(low, 3)
+
+
+def test_colour_linear_empty_hypergraph():
+    assert colour_linear(Hypergraph(0, []), 2) == Colouring((), 1)
+
+
+def test_colour_linear_breach_when_greedy_overflows_palette(monkeypatch):
+    # a greedy step that ignored its degree bound would hand back a
+    # colour beyond k*rank+1; the colourer must refuse it
+    monkeypatch.setattr(linearhg, "greedy_colour", lambda lg: (6,) * lg.n_nodes)
+    with pytest.raises(InvariantBreach) as exc:
+        colour_linear(complete_graph(4), 2)
+    assert exc.value.context == {"colour": 6, "palette": 5}

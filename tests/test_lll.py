@@ -1,11 +1,14 @@
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermaj import lll
 from hypermaj.errors import InvariantBreach, PreconditionError
-from hypermaj.genlab import GenSpec, generate, verify
+from hypermaj.genlab import GenSpec, Violation, generate, verify
 from hypermaj.hypercore import Colouring, Hypergraph
 from hypermaj.lll import (
     bad_vertices,
@@ -95,6 +98,47 @@ def test_threshold_rejects_inequalities_at_stationary_point(monkeypatch):
         threshold(2, 2)
 
 
+@pytest.fixture(scope="module")
+def mpmath():
+    return pytest.importorskip("mpmath")
+
+
+def mpmath_reference(mpmath, k, r, delta):
+    """(holds, lhs1, lhs2) evaluated in binary multiprecision at 40
+    digits with the same 2^-30 margin, independently of the library's
+    decimal arithmetic."""
+    with mpmath.workdps(40):
+        decay = mpmath.exp(mpmath.mpf(-delta) / (3 * k * k * (k + 1)))
+        lhs1 = 4 * (k + 1) * decay
+        lhs2 = 8 * (k + 1) * (r - 1) * decay * delta
+        cutoff = 1 - mpmath.mpf(2) ** -30
+        return bool(lhs1 <= cutoff and lhs2 <= cutoff), float(lhs1), float(lhs2)
+
+
+cached_threshold = functools.lru_cache(maxsize=None)(threshold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(2, 6),
+    r=st.sampled_from((2, 3, 4, 5, 7, 10, 16, 32, 100)),
+    offset=st.integers(-400, 300),
+)
+def test_inequalities_match_mpmath_reference(mpmath, k, r, offset):
+    # points from below the stationary point up to well past delta*
+    delta = max(1, cached_threshold(k, r) + offset)
+    assert inequalities_hold(k, r, delta) == mpmath_reference(mpmath, k, r, delta)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(2, 6), r=st.integers(2, 100))
+def test_threshold_details_match_mpmath_reference(mpmath, k, r):
+    delta, lhs1, lhs2 = threshold_details(k, r)
+    holds, ref1, ref2 = mpmath_reference(mpmath, k, r, delta)
+    assert holds and not mpmath_reference(mpmath, k, r, delta - 1)[0]
+    assert (lhs1, lhs2) == (ref1, ref2)
+
+
 def test_threshold_details_at_star():
     d, lhs1, lhs2 = threshold_details(2, 2)
     assert d == 323
@@ -149,6 +193,43 @@ def test_bad_vertices_matches_verifier():
         bad = bad_vertices(h, c, 2)
         assert (not bad) == rep.valid
         assert bad == {v.vertex for v in rep.violations}
+
+
+@st.composite
+def coloured_hypergraphs(draw):
+    n = draw(st.integers(0, 7))
+    edges = (
+        draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=16))
+        if n
+        else []
+    )
+    k = draw(st.integers(2, 4))
+    colours = draw(st.lists(st.integers(1, k + 1), min_size=len(edges), max_size=len(edges)))
+    return Hypergraph(n, edges), k, Colouring(colours, k + 1)
+
+
+def naive_violations(h, k, c):
+    """Per vertex and colour, recount the incident edges from scratch."""
+    out = []
+    for v in range(h.n_vertices):
+        incident = [e for e, fs in enumerate(h.edges) if v in fs]
+        bound = len(incident) // k
+        for colour in range(1, c.palette_size + 1):
+            count = sum(1 for e in incident if c[e] == colour)
+            if count > bound:
+                out.append(Violation(v, colour, count, bound))
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coloured_hypergraphs())
+def test_verify_and_bad_vertices_match_naive_recount(case):
+    h, k, c = case
+    expected = naive_violations(h, k, c)
+    report = verify(h, k, c)
+    assert report.violations == expected
+    assert report.valid == (not expected)
+    assert bad_vertices(h, c, k) == {vio.vertex for vio in expected}
 
 
 def test_resample_success_high_degree():

@@ -7,7 +7,6 @@ from hypermaj.errors import InvariantBreach, PreconditionError
 from hypermaj.genlab import GenSpec, complete_graph, generate, verify
 from hypermaj.hypercore import Hypergraph
 from hypermaj.partition import (
-    PartitionState,
     alpha,
     alpha_schedule,
     check_class_bounds,
@@ -43,9 +42,9 @@ def test_alpha_preconditions():
 
 def test_alpha_schedule_interior():
     for delta, k, r in [(16, 2, 2), (36, 3, 2), (100, 2, 3), (250, 5, 2)]:
-        sched = alpha_schedule(delta, k, r)
-        assert len(sched.alphas) == k
-        assert all(0 < a < 1 for a in sched.alphas)
+        alphas = alpha_schedule(delta, k, r)
+        assert len(alphas) == k
+        assert all(0 < a < 1 for a in alphas)
 
 
 def test_colour_k17():
@@ -98,12 +97,11 @@ def test_regular_at_exact_bound():
 
 def test_partition_covers_every_edge_once():
     h = complete_graph(17)
-    state, schedule = partition_rounds(h, 2)
-    assert len(state.classes) == 3
-    assert len(schedule.alphas) == 2
-    seen = [e for cls in state.classes for e in cls]
-    assert sorted(seen) == list(range(len(h.edges)))
-    assert state.remaining == frozenset()
+    colouring, alphas = partition_rounds(h, 2)
+    assert alphas == alpha_schedule(16, 2, 2)
+    assert colouring.palette_size == 3
+    assert len(colouring) == len(h.edges)
+    assert set(colouring.colours) == {1, 2, 3}
 
 
 def test_partition_deterministic():
@@ -116,15 +114,8 @@ def test_check_class_bounds_flags_overfull_class():
     # edge into one class; B * delta / k caps must fire
     h = complete_graph(17)
     all_edges = tuple(range(len(h.edges)))
-    state = PartitionState(
-        remaining=frozenset(),
-        classes=(all_edges,),
-        delta=16,
-        k=2,
-        r=2,
-    )
     with pytest.raises(InvariantBreach) as exc:
-        check_class_bounds(h, state, 1, all_edges)
+        check_class_bounds(h, 1, all_edges, (), delta=16, k=2, r=2)
     ctx = exc.value.context
     assert ctx["observed"] > ctx["bound"]
     assert ctx["i"] == 1
@@ -134,15 +125,9 @@ def test_check_class_bounds_flags_stalled_remaining():
     # nothing extracted after round 1: remaining degrees stay at delta,
     # above the shrinking cap B * (delta - (delta/k - 2r))
     h = complete_graph(17)
-    state = PartitionState(
-        remaining=frozenset(range(len(h.edges))),
-        classes=((),),
-        delta=16,
-        k=2,
-        r=2,
-    )
+    remaining = range(len(h.edges))
     with pytest.raises(InvariantBreach) as exc:
-        check_class_bounds(h, state, 1, ())
+        check_class_bounds(h, 1, (), remaining, delta=16, k=2, r=2)
     assert exc.value.context["observed"] > exc.value.context["bound"]
 
 
@@ -163,10 +148,9 @@ def test_exact_bound_arithmetic_with_fractional_b():
     h = Hypergraph(17, list(base.edges) + [(0, 1)])
     assert h.min_degree() == 16
     assert h.degree(0) == 17
-    state, _ = partition_rounds(h, 2)
-    for cls in state.classes:
+    c, _ = partition_rounds(h, 2)
+    for colour in (1, 2, 3):
         for v in range(h.n_vertices):
-            count = sum(1 for e in cls if v in h.edges[e])
+            count = sum(1 for e in h.incident_edges(v) if c[e] == colour)
             assert count <= F(h.degree(v), 16) * F(16, 2)
-    c = colour_partition(h, 2)
     assert verify(h, 2, c).valid

@@ -362,7 +362,7 @@ def golden_rounding_calls():
             for seed in (1, 2):
                 h = generate(GenSpec("uniform", n, r, 2 * r * k * k, seed))
                 remaining = set(range(len(h.edges)))
-                for a in alpha_schedule(h.min_degree(), k, r).alphas:
+                for a in alpha_schedule(h.min_degree(), k, r):
                     z = Weighting([a if e in remaining else 0 for e in range(len(h.edges))])
                     x, trace = round_weights(h, z)
                     remaining -= {e for e in remaining if x[e] == 1}
