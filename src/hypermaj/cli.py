@@ -49,21 +49,19 @@ __all__ = ["DEFAULT_SEED", "main"]
 class Reporter:
     """Emits result lines as text or JSON objects with the same fields."""
 
-    def __init__(self, fmt: str, stream):
+    def __init__(self, fmt: str):
         self.fmt = fmt
-        self.stream = stream
 
-    def emit(self, kind: str, fields: dict, stream=None, text: str | None = None) -> None:
-        out = stream if stream is not None else self.stream
+    def emit(self, kind: str, fields: dict, stream, text: str | None = None) -> None:
         if self.fmt == "json-lines":
             record = {"type": kind}
             for key, value in fields.items():
                 if isinstance(value, Fraction):
                     value = str(value)
                 record[key] = value
-            print(json.dumps(record), file=out)
+            print(json.dumps(record), file=stream)
         elif text is not None:
-            print(text, file=out)
+            print(text, file=stream)
         else:
             parts = []
             for key, value in fields.items():
@@ -73,8 +71,8 @@ class Reporter:
                     value = "-"
                 parts.append(f"{key}={value}")
             prefix = "" if kind == "summary" else kind + " "
-            print(prefix + " ".join(parts), file=out)
-        out.flush()
+            print(prefix + " ".join(parts), file=stream)
+        stream.flush()
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -95,16 +93,16 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _deliver(data: str, out_path: str | None) -> bool:
+def _deliver(data: str, out_path: str | None):
     """Write data to out_path, or to stdout when no path was given.
-    Returns True when stdout carried the data (result lines then belong
-    on stderr)."""
+    Returns the stream for result lines: stderr when stdout carried the
+    data, so the data stream stays clean, else stdout."""
     if out_path is None:
         sys.stdout.write(data)
         sys.stdout.flush()
-        return True
+        return sys.stderr
     _atomic_write(out_path, data)
-    return False
+    return sys.stdout
 
 
 def _summary(rep: Reporter, stream, algorithm, k, palette, valid, t0) -> None:
@@ -149,70 +147,48 @@ def _cmd_colour(args, rep: Reporter) -> int:
     t0 = time.perf_counter()
     h_graph = parse_hypergraph(_read(args.input))
     k = args.k
+    rows = []  # (kind, fields, text) report lines, emitted after delivery
+    exhausted = False
 
     if args.algorithm == "partition":
         colouring, alphas = partition_rounds(h_graph, k)
-        data_on_stdout = _deliver(serialize_colouring(colouring), args.output)
-        result_stream = sys.stderr if data_on_stdout else sys.stdout
         if args.trace:
             for i, a in enumerate(alphas, start=1):
                 row = {"round": i, "alpha": a, "class_size": colouring.colours.count(i)}
-                rep.emit(
-                    "round",
-                    row,
-                    stream=result_stream,
-                    text="round {round} alpha {alpha} class_size {class_size}".format(
-                        **row
-                    ),
-                )
+                text = "round {round} alpha {alpha} class_size {class_size}".format(**row)
+                rows.append(("round", row, text))
     elif args.algorithm == "linear":
         if args.emit_split:
             _, smap = split_hypergraph(h_graph, k)
             _atomic_write(args.emit_split, _split_lines(smap))
         colouring = colour_linear(h_graph, k)
-        data_on_stdout = _deliver(serialize_colouring(colouring), args.output)
-        result_stream = sys.stderr if data_on_stdout else sys.stdout
     else:  # random-lll
-        trials = args.trials
-        seeds = [args.seed + i for i in range(trials)]
-        workers = max(1, min(args.jobs, trials))
-        if workers == 1:
-            runs = [
-                resample_colour(h_graph, k, s, args.max_rounds) for s in seeds
-            ]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                runs = list(
-                    pool.map(
-                        lambda s: resample_colour(h_graph, k, s, args.max_rounds),
-                        seeds,
-                    )
-                )
-        winner = next((r for r in runs if r.outcome == "success"), None)
-        colouring = (winner or runs[0]).colouring
-        data_on_stdout = _deliver(serialize_colouring(colouring), args.output)
-        result_stream = sys.stderr if data_on_stdout else sys.stdout
-        for run in runs:
-            rep.emit(
-                "trial",
-                {
-                    "seed": run.seed,
-                    "outcome": run.outcome,
-                    "rounds": run.rounds_used,
-                },
-                stream=result_stream,
+        seeds = range(args.seed, args.seed + args.trials)
+        # at most one thread per core: the trials hold the GIL
+        workers = max(1, min(args.jobs, args.trials, os.cpu_count() or 1))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            runs = list(
+                pool.map(lambda s: resample_colour(h_graph, k, s, args.max_rounds), seeds)
             )
-        if winner is None:
-            _summary(rep, result_stream, args.algorithm, k, k + 1, False, t0)
-            return 1
+        winner = next((r for r in runs if r.outcome == "success"), None)
+        exhausted = winner is None
+        colouring = (winner or runs[0]).colouring
+        for run in runs:
+            row = {"seed": run.seed, "outcome": run.outcome, "rounds": run.rounds_used}
+            rows.append(("trial", row, None))
 
+    stream = _deliver(serialize_colouring(colouring), args.output)
+    for kind, row, text in rows:
+        rep.emit(kind, row, stream, text)
+    palette = colouring.palette_size
+    if exhausted:
+        _summary(rep, stream, args.algorithm, k, palette, False, t0)
+        return 1
     if args.no_verify:
-        _summary(rep, result_stream, args.algorithm, k, colouring.palette_size, None, t0)
+        _summary(rep, stream, args.algorithm, k, palette, None, t0)
         return 0
     report = verify(h_graph, k, colouring)
-    _summary(
-        rep, result_stream, args.algorithm, k, colouring.palette_size, report.valid, t0
-    )
+    _summary(rep, stream, args.algorithm, k, palette, report.valid, t0)
     if not report.valid:
         _emit_violations(rep, report)
         return 3
@@ -250,9 +226,8 @@ def _cmd_round(args, rep: Reporter) -> int:
             ids = ",".join(str(e + 1) for e in step.fixed)
             lines.append(f"iter {i} fixed {ids} step {step.step}")
         _atomic_write(args.trace_file, "".join(line + "\n" for line in lines))
-    data_on_stdout = _deliver(serialize_weights(x), args.output)
-    result_stream = sys.stderr if data_on_stdout else sys.stdout
-    _summary(rep, result_stream, "round", None, None, True, t0)
+    stream = _deliver(serialize_weights(x), args.output)
+    _summary(rep, stream, "round", None, None, True, t0)
     return 0
 
 
@@ -276,8 +251,7 @@ def _cmd_generate(args, rep: Reporter) -> int:
         seed=args.seed,
     )
     h_graph = generate(spec)
-    data_on_stdout = _deliver(serialize_hypergraph(h_graph), args.output)
-    result_stream = sys.stderr if data_on_stdout else sys.stdout
+    stream = _deliver(serialize_hypergraph(h_graph), args.output)
     rep.emit(
         "generated",
         {
@@ -288,7 +262,7 @@ def _cmd_generate(args, rep: Reporter) -> int:
             "rank": h_graph.rank(),
             "seconds": round(time.perf_counter() - t0, 3),
         },
-        stream=result_stream,
+        stream,
     )
     return 0
 
@@ -300,31 +274,18 @@ def _cmd_oracle(args, rep: Reporter) -> int:
     if colouring is None:
         _summary(rep, sys.stdout, "oracle", args.k, args.palette, False, t0)
         return 1
-    data_on_stdout = _deliver(serialize_colouring(colouring), args.output)
-    result_stream = sys.stderr if data_on_stdout else sys.stdout
-    _summary(rep, result_stream, "oracle", args.k, args.palette, True, t0)
+    stream = _deliver(serialize_colouring(colouring), args.output)
+    _summary(rep, stream, "oracle", args.k, args.palette, True, t0)
     return 0
 
 
-def _add_globals(parser: argparse.ArgumentParser, top: bool) -> None:
-    kw = {} if top else {"default": argparse.SUPPRESS}
+def _add_format(parser: argparse.ArgumentParser, top: bool) -> None:
+    # A subcommand's --format overrides the top-level one only when given.
     parser.add_argument(
         "--format",
         choices=("text", "json-lines"),
+        default="text" if top else argparse.SUPPRESS,
         help="result line format",
-        **({"default": "text"} if top else kw),
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        help=f"random seed (default {DEFAULT_SEED})",
-        **({"default": DEFAULT_SEED} if top else kw),
-    )
-    parser.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the automatic validity check after colouring",
-        **({} if top else kw),
     )
 
 
@@ -333,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hypermaj",
         description="1/k-majority (k+1)-edge-colouring of hypergraphs",
     )
-    _add_globals(parser, top=True)
+    _add_format(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_colour = sub.add_parser("colour", help="colour a hypergraph")
@@ -346,10 +307,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_colour.add_argument("--k", type=int, required=True)
     p_colour.add_argument("-o", "--output", help="colouring output file")
     p_colour.add_argument(
+        "--no-verify",
+        action="store_true",
+        help="skip the automatic validity check after colouring",
+    )
+    p_colour.add_argument(
         "--trace", action="store_true", help="per-round report (partition only)"
     )
     p_colour.add_argument(
         "--emit-split", metavar="FILE", help="write the vertex split map (linear only)"
+    )
+    p_colour.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED, help="first trial seed (random-lll only)"
     )
     p_colour.add_argument(
         "--max-rounds", type=int, default=None, help="resampling cap (random-lll only)"
@@ -358,16 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=int, default=1, help="seeded trials (random-lll only)"
     )
     p_colour.add_argument(
-        "--jobs", type=int, default=1, help="concurrent trials (random-lll only)"
+        "--jobs",
+        type=int,
+        default=1,
+        help="concurrent trials, at most one per core (random-lll only)",
     )
-    _add_globals(p_colour, top=False)
     p_colour.set_defaults(func=_cmd_colour)
 
     p_verify = sub.add_parser("verify", help="check a colouring")
     p_verify.add_argument("input", help="HGR file")
     p_verify.add_argument("colours", help="colouring file")
     p_verify.add_argument("--k", type=int, required=True)
-    _add_globals(p_verify, top=False)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_round = sub.add_parser("round", help="round fractional edge weights to 0/1")
@@ -375,13 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_round.add_argument("weights", help="weights file, one rational per line")
     p_round.add_argument("-o", "--output", help="rounded weights output file")
     p_round.add_argument("--trace-file", metavar="FILE", help="write the iteration trace")
-    _add_globals(p_round, top=False)
     p_round.set_defaults(func=_cmd_round)
 
     p_thr = sub.add_parser("threshold", help="least degree at which the random model works")
     p_thr.add_argument("--k", type=int, required=True)
     p_thr.add_argument("--r", type=int, required=True)
-    _add_globals(p_thr, top=False)
     p_thr.set_defaults(func=_cmd_threshold)
 
     p_gen = sub.add_parser("generate", help="generate a seeded instance")
@@ -389,8 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--r", type=int, required=True)
     p_gen.add_argument("--min-degree", type=int, required=True)
+    p_gen.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED, help=f"random seed (default {DEFAULT_SEED})"
+    )
     p_gen.add_argument("-o", "--output", help="HGR output file")
-    _add_globals(p_gen, top=False)
     p_gen.set_defaults(func=_cmd_generate)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive search for a valid colouring")
@@ -398,9 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--k", type=int, required=True)
     p_oracle.add_argument("--palette", type=int, required=True)
     p_oracle.add_argument("-o", "--output", help="colouring output file")
-    _add_globals(p_oracle, top=False)
     p_oracle.set_defaults(func=_cmd_oracle)
 
+    for p_sub in sub.choices.values():
+        _add_format(p_sub, top=False)
     return parser
 
 
@@ -412,7 +383,9 @@ def _check_flag_scope(parser, args) -> None:
     if args.algorithm != "linear" and args.emit_split:
         parser.error("--emit-split only applies to --algorithm linear")
     if args.algorithm != "random-lll":
-        for flag, default in (("max_rounds", None), ("trials", 1), ("jobs", 1)):
+        for flag, default in (
+            ("seed", DEFAULT_SEED), ("max_rounds", None), ("trials", 1), ("jobs", 1)
+        ):
             if getattr(args, flag) != default:
                 name = "--" + flag.replace("_", "-")
                 parser.error(f"{name} only applies to --algorithm random-lll")
@@ -426,20 +399,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_flag_scope(parser, args)
-    rep = Reporter(args.format, sys.stdout)
+    rep = Reporter(args.format)
     try:
         return args.func(args, rep)
-    except (PreconditionError, FormatError, GenerationError) as exc:
-        rep.emit("error", {"message": str(exc)}, stream=sys.stderr, text=f"error: {exc}")
-        return 2
-    except OSError as exc:
-        rep.emit("error", {"message": str(exc)}, stream=sys.stderr, text=f"error: {exc}")
+    except (PreconditionError, FormatError, GenerationError, OSError) as exc:
+        rep.emit("error", {"message": str(exc)}, sys.stderr, text=f"error: {exc}")
         return 2
     except InvariantBreach as exc:
         rep.emit(
             "error",
             {"message": f"internal error: {exc}"},
-            stream=sys.stderr,
+            sys.stderr,
             text=f"error: internal error: {exc}",
         )
         return 3

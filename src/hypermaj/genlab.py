@@ -80,16 +80,20 @@ def brute_force(h: Hypergraph, k: int, palette: int) -> Optional[Colouring]:
 
     Depth-first search over edges in order with early pruning: a partial
     assignment is abandoned as soon as some vertex exceeds its per-colour
-    bound. Guarded to palette**|E| <= 10^8 states.
+    bound. Guarded to max(palette, 2)**|E| <= 10^8 states: counting at
+    least two choices per edge also caps the recursion depth at 27.
     """
     if k < 2:
         raise PreconditionError(f"k must be at least 2, got {k}")
     if palette < 1:
         raise PreconditionError(f"palette must be at least 1, got {palette}")
     m = len(h.edges)
-    if palette**m > BRUTE_FORCE_LIMIT:
+    choices = max(palette, 2)
+    # 2**m passes the limit once m reaches its bit length; testing that
+    # first keeps choices**m small whatever palette a caller passes.
+    if m >= BRUTE_FORCE_LIMIT.bit_length() or choices**m > BRUTE_FORCE_LIMIT:
         raise PreconditionError(
-            f"search space {palette}^{m} exceeds the {BRUTE_FORCE_LIMIT} guard"
+            f"search space {choices}^{m} exceeds the {BRUTE_FORCE_LIMIT} guard"
         )
     bounds = [h.degree(v) // k for v in range(h.n_vertices)]
     counts = [[0] * (palette + 1) for _ in range(h.n_vertices)]

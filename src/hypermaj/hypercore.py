@@ -273,14 +273,18 @@ def serialize_colouring(c: Colouring) -> str:
 
 
 def parse_weights(text: str | bytes, expected: int | None = None) -> Weighting:
-    """Parse a weights file; entries may be 'p/q' or decimals. When
-    expected is given, the entry count must match it exactly."""
+    """Parse a weights file; entries may be 'p/q' or plain decimals.
+    Exponents are rejected: Fraction would expand 1e-1000000 into a
+    million-digit integer. When expected is given, the entry count must
+    match it exactly."""
     weights = []
     last = 0
     for no, line in _content_lines(text):
         last = no
         if not line:
             raise FormatError(no, "empty line in weights file")
+        if "e" in line or "E" in line:
+            raise FormatError(no, f"invalid weight {line!r}: exponents are not accepted")
         try:
             w = Fraction(line)
         except (ValueError, ZeroDivisionError):
@@ -296,4 +300,5 @@ def parse_weights(text: str | bytes, expected: int | None = None) -> Weighting:
 
 
 def serialize_weights(w: Weighting) -> str:
-    return "\n".join(str(x) for x in w.weights) + "\n"
+    # no weights is an empty file: a lone newline would parse as an empty line
+    return "".join(f"{x}\n" for x in w.weights)

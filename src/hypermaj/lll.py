@@ -18,8 +18,9 @@ The threshold scan needs care: the second left-hand side rises with
 delta up to its stationary point at delta = 3k^2(k+1) and falls beyond
 it. At the stationary point the value is at least 24 (k+1)^2 k^2 / e,
 far above 1 for every k, r >= 2, so every passing delta lies strictly
-beyond the stationary point, where both sides are decreasing and a
-single upward scan finds the least delta that passes for good.
+beyond the stationary point, where both sides are decreasing: the
+predicate is monotone there, and doubling then bisection finds the
+least delta that passes for good in O(log delta*) evaluations.
 
 Inequalities are evaluated in stdlib decimal arithmetic at 40
 significant digits (the exponential by Decimal.exp, correctly rounded)
@@ -100,9 +101,9 @@ def threshold(k: int, r: int) -> int:
     if r < 2:
         raise PreconditionError(f"r must be at least 2, got {r}")
     stationary = 3 * k * k * (k + 1)
-    delta = max(1, stationary)
-    # The second inequality cannot hold at its own maximum, so the scan
-    # below runs entirely in the decreasing regime.
+    # The second inequality cannot hold at its own maximum, so the search
+    # below runs entirely in the decreasing regime, where the predicate
+    # fails up to delta* and holds from there on.
     if inequalities_hold(k, r, stationary):
         raise InvariantBreach(
             "threshold inequalities hold at their stationary point",
@@ -110,9 +111,17 @@ def threshold(k: int, r: int) -> int:
             r=r,
             delta=stationary,
         )
-    while not inequalities_hold(k, r, delta):
-        delta += 1
-    return delta
+    # Double to bracket delta* in (fail, hold], then bisect.
+    fail, hold = stationary, 2 * stationary
+    while not inequalities_hold(k, r, hold):
+        fail, hold = hold, 2 * hold
+    while hold - fail > 1:
+        mid = (fail + hold) // 2
+        if inequalities_hold(k, r, mid):
+            hold = mid
+        else:
+            fail = mid
+    return hold
 
 
 def threshold_details(k: int, r: int) -> tuple[int, float, float]:

@@ -5,10 +5,17 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import hypermaj
 from hypermaj import cli, linearhg
-from hypermaj.genlab import verify
-from hypermaj.hypercore import parse_colouring, parse_hypergraph, parse_weights
+from hypermaj.genlab import GenSpec, generate, verify
+from hypermaj.hypercore import (
+    parse_colouring,
+    parse_hypergraph,
+    parse_weights,
+    serialize_hypergraph,
+)
 
 TRIANGLE = "3 3\n1 2\n2 3\n1 3\n"
 
@@ -272,6 +279,79 @@ def test_flag_scope_enforced(tmp_path):
         "colour", "--algorithm", "partition", "--k", "2", str(hgr), "--trials", "4"
     )
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "5", "colour", "IN", "--algorithm", "random-lll", "--k", "2"],
+        ["--no-verify", "colour", "IN", "--algorithm", "linear", "--k", "2"],
+        ["verify", "IN", "IN", "--k", "2", "--seed", "5"],
+        ["threshold", "--k", "2", "--r", "2", "--no-verify"],
+        ["generate", "--model", "graph", "--n", "4", "--r", "2",
+         "--min-degree", "1", "--no-verify"],
+        ["colour", "IN", "--algorithm", "partition", "--k", "2", "--seed", "5"],
+    ],
+)
+def test_flag_accepted_only_where_read(tmp_path, capsys, argv):
+    hgr = tmp_path / "in.hgr"
+    hgr.write_text(TRIANGLE)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([str(hgr) if a == "IN" else a for a in argv])
+    assert exc.value.code == 2
+    assert "usage: hypermaj" in capsys.readouterr().err
+
+
+def test_trials_start_at_most_one_thread_per_core(tmp_path, monkeypatch, capsys):
+    hgr = tmp_path / "in.hgr"
+    hgr.write_text("1 2\n1 2\n")  # degree 1 < k: every trial exhausts
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    argv = ["colour", str(hgr), "--algorithm", "random-lll", "--k", "2",
+            "--trials", "64", "--jobs", "64", "--max-rounds", "1",
+            "-o", str(tmp_path / "o.col")]
+    assert cli.main(argv) == 1
+    assert started == [min(64, os.cpu_count() or 1)]
+    trials = [l for l in capsys.readouterr().out.splitlines() if l.startswith("trial ")]
+    assert [l.split()[1] for l in trials] == [f"seed={1729 + i}" for i in range(64)]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli.main(argv) == 1
+    assert started[-1] == 3
+
+
+def test_oracle_search_space_guard_exit_2(tmp_path):
+    # palette 1 once slipped past the guard (1**m) into a RecursionError
+    hgr = tmp_path / "in.hgr"
+    hgr.write_text(serialize_hypergraph(generate(GenSpec("uniform", 40, 2, 120, 3))))
+    res = run_cli("oracle", "--k", "2", "--palette", "1", str(hgr))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: search space 2^")
+    assert "Traceback" not in res.stderr
+
+
+def test_round_rejects_exponent_weights_exit_2(tmp_path):
+    hgr = tmp_path / "in.hgr"
+    win = tmp_path / "w.txt"
+    hgr.write_text("3 4\n1 2\n1 3\n1 4\n")
+    win.write_text("1/2\n1e999999999\n1/2\n")
+    res = run_cli("round", str(hgr), str(win))
+    assert res.returncode == 2
+    assert "line 2" in res.stderr and "exponent" in res.stderr
+    assert res.stdout == ""
 
 
 def test_emit_split_file(tmp_path):

@@ -114,6 +114,16 @@ def test_brute_force_guard():
         brute_force(h, 2, 3)
 
 
+def test_brute_force_guard_counts_two_choices_per_edge():
+    # palette 1 gave 1**m <= the guard and a recursion as deep as the
+    # search reached: 2000 frames here, past Python's default limit
+    with pytest.raises(PreconditionError, match="2\\^4000"):
+        brute_force(bundle(4000), 2, 1)
+    with pytest.raises(PreconditionError):
+        brute_force(bundle(27), 2, 1)
+    assert brute_force(bundle(26), 2, 2) is not None
+
+
 def test_genspec_validation():
     with pytest.raises(ValueError):
         GenSpec(model="mystery", n=5, r=2, min_degree=1, seed=0)

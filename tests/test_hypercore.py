@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermaj.errors import FormatError
 from hypermaj.hypercore import (
@@ -225,3 +227,52 @@ def test_parse_weights_rejects_out_of_range():
         parse_weights("3/2\n")
     with pytest.raises(FormatError):
         parse_weights("nope\n")
+
+
+def test_parse_weights_rejects_exponents():
+    # Fraction("1e999999999") would build a billion-digit integer
+    for entry in ("1e999999999", "1E-5", "2.5e-1"):
+        with pytest.raises(FormatError, match="exponent") as exc:
+            parse_weights(f"1/2\n{entry}\n")
+        assert exc.value.line == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.sets(st.integers(0, n - 1), min_size=1).map(sorted), max_size=12
+            ),
+        )
+    )
+)
+def test_hypergraph_round_trip_property(case):
+    n, edges = case
+    h = Hypergraph(n, edges)
+    back = parse_hypergraph(serialize_hypergraph(h))
+    assert (back.n_vertices, back.edges) == (h.n_vertices, h.edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda palette: st.tuples(
+            st.just(palette),
+            st.lists(st.integers(1, palette), max_size=20),
+        )
+    )
+)
+def test_colouring_round_trip_property(case):
+    palette, colours = case
+    c = Colouring(colours, palette)
+    back = parse_colouring(serialize_colouring(c))
+    assert (back.colours, back.palette_size) == (c.colours, c.palette_size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=10**6), max_size=20))
+def test_weights_round_trip_property(weights):
+    w = Weighting(weights)
+    assert parse_weights(serialize_weights(w), expected=len(w)).weights == w.weights

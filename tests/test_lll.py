@@ -91,6 +91,22 @@ def test_threshold_monotone_in_r():
     assert threshold(3, 2) <= threshold(3, 3)
 
 
+def test_threshold_search_is_logarithmic(monkeypatch):
+    # a unit-step scan took about 55000 evaluations for (10, 10)
+    calls = []
+    real = lll.inequalities_hold
+
+    def counting(k, r, delta):
+        calls.append(delta)
+        return real(k, r, delta)
+
+    monkeypatch.setattr(lll, "inequalities_hold", counting)
+    d = threshold(10, 10)
+    assert d == 58235
+    assert len(calls) <= 2 * math.log2(d) + 4
+    assert real(10, 10, d) and not real(10, 10, d - 1)
+
+
 def test_threshold_rejects_inequalities_at_stationary_point(monkeypatch):
     # a raise, not an assert, so that the guard survives python -O
     monkeypatch.setattr(lll, "inequalities_hold", lambda k, r, delta: True)
