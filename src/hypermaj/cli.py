@@ -318,18 +318,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--emit-split", metavar="FILE", help="write the vertex split map (linear only)"
     )
     p_colour.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="first trial seed (random-lll only)"
+        "--seed", type=int, default=None, help="first trial seed (random-lll only)"
     )
     p_colour.add_argument(
         "--max-rounds", type=int, default=None, help="resampling cap (random-lll only)"
     )
     p_colour.add_argument(
-        "--trials", type=int, default=1, help="seeded trials (random-lll only)"
+        "--trials", type=int, default=None, help="seeded trials (random-lll only)"
     )
     p_colour.add_argument(
         "--jobs",
         type=int,
-        default=1,
+        default=None,
         help="concurrent trials, at most one per core (random-lll only)",
     )
     p_colour.set_defaults(func=_cmd_colour)
@@ -376,6 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flag_scope(parser, args) -> None:
+    """Reject colour flags given for an algorithm that does not read them,
+    then fill in the random-lll defaults, which are None until here so
+    that a flag given with its default value still counts as given."""
     if args.command != "colour":
         return
     if args.algorithm != "partition" and args.trace:
@@ -383,16 +386,19 @@ def _check_flag_scope(parser, args) -> None:
     if args.algorithm != "linear" and args.emit_split:
         parser.error("--emit-split only applies to --algorithm linear")
     if args.algorithm != "random-lll":
-        for flag, default in (
-            ("seed", DEFAULT_SEED), ("max_rounds", None), ("trials", 1), ("jobs", 1)
-        ):
-            if getattr(args, flag) != default:
+        for flag in ("seed", "max_rounds", "trials", "jobs"):
+            if getattr(args, flag) is not None:
                 name = "--" + flag.replace("_", "-")
                 parser.error(f"{name} only applies to --algorithm random-lll")
     if args.k < 2:
         parser.error(f"--k must be at least 2, got {args.k}")
+    for flag, default in (("seed", DEFAULT_SEED), ("trials", 1), ("jobs", 1)):
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
     if args.trials < 1:
         parser.error("--trials must be at least 1")
+    if args.max_rounds is not None and args.max_rounds < 0:
+        parser.error(f"--max-rounds must be non-negative, got {args.max_rounds}")
 
 
 def main(argv=None) -> int:

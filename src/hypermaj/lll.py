@@ -14,6 +14,14 @@ out of rounds is a reportable outcome, not an error, since below the
 threshold no guarantee applies (and for d(v) < k no valid colouring
 exists at all).
 
+The resampler keeps, per vertex, its colour counts, its bound d(v)//k
+and how many colours exceed the bound, plus a min-heap of bad vertex ids
+whose entries that turned good are dropped lazily when they reach the
+top. A round redraws the d(v) edges at the heap's lowest id and updates
+the counts at the r vertices of each edge whose colour changed, so it
+costs O(d(v) r) rather than a rescan of all m r incidences; the random
+stream, and with it every round, matches the rescan's.
+
 The threshold scan needs care: the second left-hand side rises with
 delta up to its stationary point at delta = 3k^2(k+1) and falls beyond
 it. At the stationary point the value is at least 24 (k+1)^2 k^2 / e,
@@ -31,6 +39,7 @@ reported threshold larger, never unsound.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -159,23 +168,56 @@ def resample_colour(
     """Draw a random colouring, then repeatedly redraw the incident
     edges of the lowest-id bad vertex. Stops with "success" when no bad
     vertex remains, or "exhausted" after max_rounds resamplings
-    (default 10000 per edge)."""
+    (default 10000 per edge).
+
+    Colour counts per vertex are kept up to date edge by edge, so a
+    round costs O(d(v) r) for the d(v) redrawn edges of rank up to r."""
     if k < 2:
         raise PreconditionError(f"k must be at least 2, got {k}")
-    m = len(h_graph.edges)
+    edges = h_graph.edges
     if max_rounds is None:
-        max_rounds = 10_000 * m
+        max_rounds = 10_000 * len(edges)
+    elif max_rounds < 0:
+        raise PreconditionError(f"max_rounds must be non-negative, got {max_rounds}")
     rng = random.Random(seed)
-    colours = [rng.randint(1, k + 1) for _ in range(m)]
+    colours = [rng.randint(1, k + 1) for _ in edges]
+    bounds = [d // k for d in h_graph.degrees()]
+    # counts[v][c]: edges of colour c at v; over[v]: colours whose count
+    # exceeds v's bound, so v is bad exactly when over[v] > 0.
+    counts = [[0] * (k + 2) for _ in bounds]
+    for c, fs in zip(colours, edges):
+        for v in fs:
+            counts[v][c] += 1
+    over = [sum(n > b for n in per) for per, b in zip(counts, bounds)]
+    # A min-heap of vertex ids, each at most once (queued), that holds every
+    # bad vertex; entries that turned good are dropped when they reach the
+    # top. Ascending ids already form a heap.
+    heap = [v for v, n in enumerate(over) if n]
+    queued = [n > 0 for n in over]
     rounds = 0
     while True:
-        current = Colouring(colours, k + 1)
-        bad = bad_vertices(h_graph, current, k)
-        if not bad:
-            return ResampleRun(seed, max_rounds, rounds, "success", current)
-        if rounds >= max_rounds:
-            return ResampleRun(seed, max_rounds, rounds, "exhausted", current)
-        v = min(bad)
-        for e in h_graph.incident_edges(v):
-            colours[e] = rng.randint(1, k + 1)
+        while heap and not over[heap[0]]:
+            queued[heapq.heappop(heap)] = False
+        if not heap or rounds >= max_rounds:
+            outcome = "exhausted" if heap else "success"
+            return ResampleRun(
+                seed, max_rounds, rounds, outcome, Colouring(colours, k + 1)
+            )
+        for e in h_graph.incident_edges(heap[0]):
+            new = rng.randint(1, k + 1)
+            old = colours[e]
+            if new == old:
+                continue
+            colours[e] = new
+            for u in edges[e]:
+                per, b = counts[u], bounds[u]
+                if per[old] == b + 1:
+                    over[u] -= 1
+                per[old] -= 1
+                per[new] += 1
+                if per[new] == b + 1:
+                    over[u] += 1
+                    if not queued[u]:
+                        queued[u] = True
+                        heapq.heappush(heap, u)
         rounds += 1

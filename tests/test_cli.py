@@ -291,6 +291,10 @@ def test_flag_scope_enforced(tmp_path):
         ["generate", "--model", "graph", "--n", "4", "--r", "2",
          "--min-degree", "1", "--no-verify"],
         ["colour", "IN", "--algorithm", "partition", "--k", "2", "--seed", "5"],
+        # given at their default values, the random-lll flags still count
+        ["colour", "IN", "--algorithm", "partition", "--k", "2", "--seed", "1729"],
+        ["colour", "IN", "--algorithm", "partition", "--k", "2", "--trials", "1"],
+        ["colour", "IN", "--algorithm", "linear", "--k", "2", "--jobs", "1"],
     ],
 )
 def test_flag_accepted_only_where_read(tmp_path, capsys, argv):
@@ -300,6 +304,17 @@ def test_flag_accepted_only_where_read(tmp_path, capsys, argv):
         cli.main([str(hgr) if a == "IN" else a for a in argv])
     assert exc.value.code == 2
     assert "usage: hypermaj" in capsys.readouterr().err
+
+
+def test_negative_max_rounds_exit_2(tmp_path, capsys):
+    # a negative cap once reported the first invalid draw as exhausted, exit 1
+    hgr = tmp_path / "in.hgr"
+    hgr.write_text("1 2\n1 2\n")
+    argv = ["colour", str(hgr), "--algorithm", "random-lll", "--k", "2", "--max-rounds", "-1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--max-rounds must be non-negative" in capsys.readouterr().err
 
 
 def test_trials_start_at_most_one_thread_per_core(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import random
 
@@ -11,6 +12,7 @@ from hypermaj.errors import InvariantBreach, PreconditionError
 from hypermaj.genlab import GenSpec, Violation, generate, verify
 from hypermaj.hypercore import Colouring, Hypergraph
 from hypermaj.lll import (
+    ResampleRun,
     bad_vertices,
     inequalities_hold,
     random_colouring,
@@ -290,3 +292,104 @@ def test_resample_success_passes_verify():
         if run.outcome == "success":
             assert verify(h, 2, run.colouring).valid
             assert not bad_vertices(h, run.colouring, 2)
+
+
+def test_resample_rejects_negative_round_cap():
+    # a negative cap used to report any invalid first draw as "exhausted"
+    h = Hypergraph(2, [(0, 1)])
+    with pytest.raises(PreconditionError):
+        resample_colour(h, 2, seed=1, max_rounds=-1)
+
+
+def rescan_resample(h, k, seed, max_rounds):
+    """The resampler without incremental bookkeeping: a full bad_vertices
+    rescan of every incidence each round, then the lowest bad id."""
+    rng = random.Random(seed)
+    colours = [rng.randint(1, k + 1) for _ in h.edges]
+    rounds = 0
+    while True:
+        current = Colouring(colours, k + 1)
+        bad = bad_vertices(h, current, k)
+        if not bad:
+            return ResampleRun(seed, max_rounds, rounds, "success", current)
+        if rounds >= max_rounds:
+            return ResampleRun(seed, max_rounds, rounds, "exhausted", current)
+        for e in h.incident_edges(min(bad)):
+            colours[e] = rng.randint(1, k + 1)
+        rounds += 1
+
+
+@st.composite
+def resample_cases(draw):
+    """(h, k, seed, max_rounds): generated uniform, regular and graph
+    instances, and hand-made ones with repeated edges, isolated vertices
+    and vertices of degree 0 < d < k, which no colouring satisfies. The
+    caps stay explicit and small, because the rescan costs O(m r) a round."""
+    k = draw(st.integers(2, 4))
+    model = draw(st.sampled_from(("uniform", "regular", "graph", "hand")))
+    if model == "hand":
+        n = draw(st.integers(1, 8))
+        edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)
+        edges = draw(st.lists(edge, max_size=20))
+        edges += draw(st.lists(st.sampled_from(edges), max_size=6)) if edges else []
+        h = Hypergraph(n, edges)
+    else:
+        r = 2 if model == "graph" else draw(st.integers(2, 4))
+        n = draw(st.integers(r, 12))
+        if model == "regular":
+            n -= n % r
+        degree = draw(st.integers(1, n // 2 if model == "graph" else 16))
+        h = generate(GenSpec(model, n, r, degree, draw(st.integers(0, 2**16))))
+    max_rounds = draw(
+        st.one_of(st.sampled_from((0, 1)), st.integers(2, 12), st.integers(200, 400))
+    )
+    return h, k, draw(st.integers(0, 2**32)), max_rounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(resample_cases())
+def test_resample_matches_rescan_reference(case):
+    h, k, seed, max_rounds = case
+    assert resample_colour(h, k, seed, max_rounds) == rescan_resample(h, k, seed, max_rounds)
+
+
+# sha256 of golden_resample_digest(), recorded with the rescan resampler
+# (rescan_resample's loop) before the incremental counts replaced it; a
+# change to the round count, outcome or colouring of any run changes it.
+GOLDEN_RESAMPLE_SHA256 = "223703f91b42f03c85d8434539702834b0502a63bd7a038808e0ecbd21ff0cfe"
+
+
+def golden_resample_runs():
+    """Seeded resample_colour runs on generated uniform, regular and graph
+    instances at k = 2, 3, 4, then on a hand-made instance with a repeated
+    edge, an isolated vertex and a vertex of degree 1 < k, which exhausts
+    every cap."""
+    cases = [
+        (GenSpec("uniform", 10, 2, 12, 3), 2, 400),
+        (GenSpec("uniform", 9, 3, 14, 5), 2, 400),
+        (GenSpec("regular", 12, 3, 20, 8), 2, 400),
+        (GenSpec("regular", 12, 3, 30, 2), 3, 400),
+        (GenSpec("graph", 14, 2, 9, 4), 3, 60),
+        (GenSpec("uniform", 6, 2, 50, 3), 4, 400),
+    ]
+    for spec, k, max_rounds in cases:
+        h = generate(spec)
+        for seed in (0, 1, 2):
+            yield resample_colour(h, k, seed, max_rounds)
+    lone = Hypergraph(5, [(0, 1), (0, 1), (1, 2), (0, 1, 2), (2, 3)])
+    for seed, max_rounds in ((7, 0), (7, 1), (7, 9), (8, 150)):
+        yield resample_colour(lone, 2, seed, max_rounds)
+
+
+def golden_resample_digest():
+    digest = hashlib.sha256()
+    for run in golden_resample_runs():
+        digest.update(
+            f"{run.seed} {run.max_rounds} {run.rounds_used} {run.outcome} "
+            f"{run.colouring.palette_size} {run.colouring.colours}\n".encode()
+        )
+    return digest.hexdigest()
+
+
+def test_resample_golden_digest():
+    assert golden_resample_digest() == GOLDEN_RESAMPLE_SHA256

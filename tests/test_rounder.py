@@ -302,6 +302,33 @@ def test_round_random_instances_keep_invariants():
                 assert x[e] == z[e]
 
 
+@st.composite
+def weighted_hypergraphs(draw):
+    """Rank-r hypergraphs (r 2-4) with repeated edges and isolated
+    vertices, and weights in [0, 1] that include exact 0s and 1s."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(r, 9))
+    vertices = st.integers(0, n - 1)
+    edges = [draw(st.lists(vertices, min_size=r, max_size=r, unique=True))]
+    edges += draw(st.lists(st.lists(vertices, min_size=1, max_size=r, unique=True), max_size=14))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4))
+    weight = st.one_of(
+        st.sampled_from((F(0), F(1))),
+        st.fractions(min_value=0, max_value=1, max_denominator=1000),
+    )
+    z = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    return Hypergraph(n, edges), Weighting(z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_hypergraphs())
+def test_round_discrepancy_below_rank_property(case):
+    h, z = case
+    x, _ = round_weights(h, z)
+    assert all(w in (0, 1) for w in x.weights)
+    assert within_rank_band(h, z, x)
+
+
 def test_round_trace_progress():
     rng = random.Random(12)
     for _ in range(40):
