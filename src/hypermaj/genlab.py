@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import GenerationError, PreconditionError
-from .hypercore import Colouring, Hypergraph
+from .hypercore import MAX_VERTICES, Colouring, Hypergraph
 
 __all__ = [
     "Violation",
@@ -141,6 +141,10 @@ class GenSpec:
             )
         if self.n < 1:
             raise PreconditionError(f"n must be at least 1, got {self.n}")
+        if self.n > MAX_VERTICES:
+            raise PreconditionError(
+                f"n={self.n} exceeds the vertex limit of {MAX_VERTICES}"
+            )
         if self.r < 1:
             raise PreconditionError(f"r must be at least 1, got {self.r}")
         if self.min_degree < 0:
@@ -171,11 +175,14 @@ def gen_uniform(spec: GenSpec) -> Hypergraph:
     vertices = list(range(spec.n))
     edges: list[list[int]] = []
     deg = [0] * spec.n
-    while min(deg) < spec.min_degree:
+    below = spec.n if spec.min_degree > 0 else 0  # vertices under min_degree
+    while below:
         e = rng.sample(vertices, spec.r)
         edges.append(e)
         for v in e:
             deg[v] += 1
+            if deg[v] == spec.min_degree:
+                below -= 1
     return Hypergraph(spec.n, edges)
 
 
@@ -193,8 +200,9 @@ def gen_linear(spec: GenSpec) -> Hypergraph:
     edges: list[list[int]] = []
     used_pairs: set[tuple[int, int]] = set()
     deg = [0] * spec.n
+    below = spec.n if spec.min_degree > 0 else 0  # vertices under min_degree
     rejects = 0
-    while min(deg) < spec.min_degree:
+    while below:
         e = rng.sample(vertices, spec.r)
         pairs = list(itertools.combinations(sorted(e), 2))
         if any(p in used_pairs for p in pairs):
@@ -210,6 +218,8 @@ def gen_linear(spec: GenSpec) -> Hypergraph:
         edges.append(e)
         for v in e:
             deg[v] += 1
+            if deg[v] == spec.min_degree:
+                below -= 1
     return Hypergraph(spec.n, edges)
 
 

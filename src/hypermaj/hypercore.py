@@ -8,6 +8,9 @@ HGR format (UTF-8, LF or CRLF):
     line 1:   <num_edges> <num_vertices>
     lines 2+: one edge per line, space-separated 1-based vertex-ids
 Lines starting with ``%`` are comments. Trailing whitespace is tolerated.
+The vertex count may be at most MAX_VERTICES (2**22): per-vertex tables
+are allocated from the header before any edge is read, and at that bound
+parsing a header-only file takes about 360 MB.
 
 Colouring files hold one integer colour per line (line i = colour of edge i)
 with an optional ``# palette <C>`` header. Weights files hold one rational
@@ -24,6 +27,7 @@ from typing import Iterable, Optional
 from .errors import FormatError
 
 __all__ = [
+    "MAX_VERTICES",
     "Hypergraph",
     "Colouring",
     "Weighting",
@@ -34,6 +38,9 @@ __all__ = [
     "parse_weights",
     "serialize_weights",
 ]
+
+# Largest vertex count a file header or a generator may ask for.
+MAX_VERTICES = 2**22
 
 
 @dataclass(frozen=True)
@@ -153,9 +160,10 @@ class Weighting:
     weights: tuple[Fraction, ...]
 
     def __init__(self, weights: Iterable):
-        ws = tuple(Fraction(w) for w in weights)
+        # a Fraction's denominator is positive, so 0 <= w <= 1 compares ints
+        ws = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in weights)
         for i, w in enumerate(ws):
-            if not 0 <= w <= 1:
+            if not 0 <= w.numerator <= w.denominator:
                 raise ValueError(f"weight {w} of edge {i} outside [0, 1]")
         object.__setattr__(self, "weights", ws)
 
@@ -197,6 +205,10 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
         raise FormatError(head_no, f"malformed header {head!r}; counts must be integers") from None
     if n_edges < 0 or n_vertices < 0:
         raise FormatError(head_no, "header counts must be non-negative")
+    if n_vertices > MAX_VERTICES:
+        raise FormatError(
+            head_no, f"vertex count {n_vertices} exceeds the limit of {MAX_VERTICES}"
+        )
 
     edges: list[list[int]] = []
     last_no = head_no

@@ -18,11 +18,14 @@ directions of the constrained-vertex incidence system:
      set has at most r fractional edges, each moving by strictly less
      than 1, which gives the strict discrepancy bound.
 
-All arithmetic is exact. The kernel comes from a sparse fraction-free
-elimination of the integer incidence rows in column order, each updated
-row divided by the gcd of its entries, followed by an integer
-back-substitution. The walk steps along that integer vector directly;
-rationals appear only in the weights and the step lengths.
+All arithmetic is exact, and the walk's is integer. The kernel comes from
+a sparse fraction-free elimination of the integer incidence rows in column
+order, each updated row divided by the gcd of its entries, followed by an
+integer back-substitution. The walk keeps every fractional weight as a
+reduced numerator/denominator pair and steps along the integer kernel
+vector by a step length that is also a pair. Fractions appear only at the
+boundary: the trace's step lengths, the leftovers handed to
+finalize_low_degree and the returned Weighting.
 """
 
 from __future__ import annotations
@@ -65,71 +68,89 @@ class RoundingTrace:
 
 
 def _first_dependent(
-    rows: dict[Hashable, dict[int, int]], n_cols: int
+    rows: dict[Hashable, dict[int, int]], holders: list[set]
 ) -> tuple[list[int], int]:
     """Integer kernel vector ending at the first column that depends on the
     columns before it.
 
-    rows maps a row key to its nonzero integer entries {column: value}, with
-    columns in range(n_cols); it is consumed. Rows are eliminated in column
-    order: each column takes as pivot the shortest remaining row that is
-    nonzero there and clears that column from the other remaining rows,
-    each updated row divided by the gcd of its entries. The first column j
-    where no remaining row is nonzero depends on columns 0..j-1, which are
-    independent, so the returned w (length j+1, w[j] != 0, with
-    sum_c w[c] * column c = 0) is unique up to scale; it is made primitive
-    with its first nonzero entry positive.
+    rows maps a row key to its nonzero integer entries {column: value}, and
+    holders[c] is the set of keys of the rows nonzero in column c, for
+    columns in range(len(holders)); both are consumed. Rows are eliminated
+    in column order: each column takes as pivot the shortest remaining row
+    that is nonzero there and clears that column from the other remaining
+    rows, each updated row divided by the gcd of its entries. The first
+    column j where no remaining row is nonzero depends on columns 0..j-1,
+    which are independent, so the returned w (length len(holders), w[j] != 0,
+    zero past j, with sum_c w[c] * column c = 0) is unique up to scale; it
+    is made primitive with its first nonzero entry positive.
     """
-    holders: list[set] = [set() for _ in range(n_cols)]
-    for v, row in rows.items():
-        for c in row:
-            holders[c].add(v)
-    pivots: list[dict[int, int]] = []
+    gcd = math.gcd
+    pivots: list[tuple[int, dict[int, int]]] = []
     for c, hold in enumerate(holders):
         if not hold:
-            return _back_substitute(pivots, c), c
-        v = min(hold, key=lambda u: len(rows[u]))
+            return _back_substitute(pivots, c, len(holders)), c
+        if len(hold) == 1:
+            v = hold.pop()
+        else:
+            # the first shortest row, as min(hold, key=len of row) picks it,
+            # without a key function call per row
+            it = iter(hold)
+            v = next(it)
+            best = len(rows[v])
+            for u in it:
+                if len(rows[u]) < best:
+                    v, best = u, len(rows[u])
+            hold.remove(v)
         prow = rows.pop(v)
+        # every other row in hold loses column c, so hold is left as it is
+        p = prow.pop(c)
         for l in prow:
             holders[l].discard(v)
-        p = prow[c]
-        for u in list(hold):
+        for u in hold:
             row = rows[u]
-            g = math.gcd(p, row[c])
-            pu, a = p // g, row[c] // g
-            if pu != 1:
-                for l in row:
-                    row[l] *= pu
+            a = row.pop(c)
+            if p != 1:
+                g = gcd(p, a)
+                pu, a = p // g, a // g
+                if pu != 1:
+                    for l in row:
+                        row[l] *= pu
             for l, y in prow.items():
-                x = row.get(l, 0) - a * y
-                if x:
-                    if l not in row:
-                        holders[l].add(u)
-                    row[l] = x
+                if l in row:
+                    x = row[l] - a * y
+                    if x:
+                        row[l] = x
+                    else:
+                        del row[l]
+                        holders[l].discard(u)
                 else:
-                    del row[l]
-                    holders[l].discard(u)
-            g = math.gcd(*row.values())
+                    row[l] = -a * y
+                    holders[l].add(u)
+            g = gcd(*row.values())
             if g > 1:
                 for l in row:
                     row[l] //= g
-        pivots.append(prow)
+        pivots.append((p, prow))
     raise InvariantBreach(
         "no dependent column: the system has no more columns than independent rows",
-        cols=n_cols,
+        cols=len(holders),
     )
 
 
-def _back_substitute(pivots: list[dict[int, int]], j: int) -> list[int]:
-    """Solve pivots[k] . w = 0 for k < j with w[j] != 0 and w[l] = 0 past j,
-    in integers, scaling the partial solution whenever a pivot does not
-    divide."""
-    w = [0] * (j + 1)
+def _back_substitute(
+    pivots: list[tuple[int, dict[int, int]]], j: int, n_cols: int
+) -> list[int]:
+    """Solve p_k * w[k] + prow_k . w = 0 for each pivot (p_k, prow_k), k < j,
+    with w[j] != 0 and w[l] = 0 past j, in integers, scaling the partial
+    solution whenever a pivot does not divide. prow_k holds only columns
+    past k, so its sum needs no filter."""
+    w = [0] * n_cols
     w[j] = 1
     for k in range(j - 1, -1, -1):
-        prow = pivots[k]
-        s = sum(x * w[l] for l, x in prow.items() if k < l <= j)
-        p = prow[k]
+        p, prow = pivots[k]
+        s = 0
+        for l, y in prow.items():
+            s += y * w[l]
         if s % p:
             scale = abs(p) // math.gcd(s, p)
             for l in range(k + 1, j + 1):
@@ -162,40 +183,41 @@ def kernel_direction(matrix: Sequence[Sequence]) -> list[Fraction]:
     # n_rows+1 columns always hold a dependent one; scaling a row to
     # integers leaves the kernel unchanged
     rows_int: dict[int, dict[int, int]] = {}
+    holders: list[set] = [set() for _ in range(n_rows + 1)]
     for i, row in enumerate(matrix):
         fracs = [Fraction(x) for x in row[: n_rows + 1]]
         scale = math.lcm(*(f.denominator for f in fracs))
         rows_int[i] = {c: int(f * scale) for c, f in enumerate(fracs) if f}
-    w, j = _first_dependent(rows_int, n_rows + 1)
+        for c in rows_int[i]:
+            holders[c].add(i)
+    w, j = _first_dependent(rows_int, holders)
     d = [Fraction(x, abs(w[j])) for x in w]
-    d.extend(Fraction(0) for _ in range(n_cols - j - 1))
+    d.extend(Fraction(0) for _ in range(n_cols - n_rows - 1))
     return d
 
 
-def step_to_boundary(
-    h: Sequence[Fraction], d: Sequence[Fraction | int]
-) -> tuple[Fraction, tuple[int, ...]]:
-    """Largest t > 0 with h + t*d inside [0, 1], and the positions that
-    land exactly on 0 or 1 at that t.
+def _step(
+    nums: Sequence[int], dens: Sequence[int], dirs: Sequence[int]
+) -> tuple[int, int, list[int]]:
+    """Largest t = t_num/t_den > 0 with h + t*dirs inside [0, 1], where
+    h[i] = nums[i]/dens[i] with dens[i] > 0, and the positions that land
+    exactly on 0 or 1 at that t.
 
-    Entries are exact: Fractions or ints. Components with d = 0 never move;
-    every h must be strictly interior.
+    The bound of each moving component is kept as num/den with den > 0 and
+    compared by cross-multiplication; t is not reduced. Components with
+    dirs = 0 never move; every h must be strictly interior.
     """
-    if len(h) != len(d):
-        raise ValueError("h and d must have equal length")
-    # the bound of each moving component is kept as num/den with den > 0
-    # and compared by cross-multiplication; only t* becomes a Fraction
     t_num, t_den = 0, 0
     hits: list[int] = []
-    for i, (hi, di) in enumerate(zip(h, d)):
-        hn, hq = hi.numerator, hi.denominator
+    for i, (hn, hq, di) in enumerate(zip(nums, dens, dirs)):
         if not 0 < hn < hq:
-            raise ValueError(f"h[{i}] = {hi} is not strictly inside (0, 1)")
-        dn = di.numerator
-        if dn > 0:
-            num, den = (hq - hn) * di.denominator, hq * dn
-        elif dn < 0:
-            num, den = hn * di.denominator, -hq * dn
+            raise ValueError(
+                f"h[{i}] = {Fraction(hn, hq)} is not strictly inside (0, 1)"
+            )
+        if di > 0:
+            num, den = hq - hn, hq * di
+        elif di < 0:
+            num, den = hn, -hq * di
         else:
             continue
         if not t_den or num * t_den < t_num * den:
@@ -205,7 +227,28 @@ def step_to_boundary(
             hits.append(i)
     if not t_den:
         raise ValueError("direction has no movable component")
-    return Fraction(t_num, t_den), tuple(hits)
+    return t_num, t_den, hits
+
+
+def step_to_boundary(
+    h: Sequence[Fraction], d: Sequence[Fraction | int]
+) -> tuple[Fraction, tuple[int, ...]]:
+    """Largest t > 0 with h + t*d inside [0, 1], and the positions that
+    land exactly on 0 or 1 at that t.
+
+    Entries are exact: Fractions or ints. Components with d = 0 never move;
+    every h must be strictly interior. d is scaled to integers by the lcm
+    of its denominators, which scales t by the same factor.
+    """
+    if len(h) != len(d):
+        raise ValueError("h and d must have equal length")
+    scale = math.lcm(*(di.denominator for di in d))
+    t_num, t_den, hits = _step(
+        [hi.numerator for hi in h],
+        [hi.denominator for hi in h],
+        [di.numerator * (scale // di.denominator) for di in d],
+    )
+    return Fraction(t_num * scale, t_den), tuple(hits)
 
 
 def finalize_low_degree(
@@ -255,20 +298,24 @@ def round_weights(
         raise ValueError(f"weighting has {len(z)} entries for {m} edges")
     r = h_graph.rank()
     edges = h_graph.edges
+    gcd = math.gcd
+    # x[e] is None exactly while e is fractional; its weight is then the
+    # reduced integer pair num[e] / den[e]
     x: list[Fraction | None] = [None] * m
-    h: dict[int, Fraction] = {}
+    num = [0] * m
+    den = [1] * m
     for e in range(m):
         w = z[e]
         if w.denominator == 1:
             x[e] = w
         else:
-            h[e] = w
-    frac = list(h)  # the fractional edges, ascending
+            num[e], den[e] = w.numerator, w.denominator
+    frac = [e for e in range(m) if x[e] is None]  # ascending
     frac_deg = [0] * h_graph.n_vertices
     for e in frac:
         for v in edges[e]:
             frac_deg[v] += 1
-    constrained = [v for v in range(h_graph.n_vertices) if frac_deg[v] > r]
+    constrained = {v for v in range(h_graph.n_vertices) if frac_deg[v] > r}
 
     target_sums: dict[int, Fraction] = {}
     if verify_invariants:
@@ -280,7 +327,9 @@ def round_weights(
     steps: list[TraceStep] = []
     while constrained:
         if verify_invariants:
-            _check_conservation(h_graph, x, h, constrained, target_sums)
+            _check_conservation(
+                h_graph, x, _fractions(frac, num, den), sorted(constrained), target_sums
+            )
         s = len(constrained)
         if len(frac) <= s:
             raise InvariantBreach(
@@ -291,44 +340,53 @@ def round_weights(
         # s+1 columns of s rows always hold a dependent column
         cols = frac[: s + 1]
         rows: dict[int, dict[int, int]] = {}
+        holders: list[set] = []
         for c, e in enumerate(cols):
-            for v in edges[e]:
-                if frac_deg[v] > r:
-                    if v in rows:
-                        rows[v][c] = 1
-                    else:
-                        rows[v] = {c: 1}
-        w, j = _first_dependent(rows, s + 1)
-        support = [(e, we) for e, we in zip(cols, w) if we]
-        t, hits = step_to_boundary([h[e] for e, _ in support], [we for _, we in support])
-        hit_set = set(hits)
+            hold = constrained & edges[e]
+            holders.append(hold)
+            for v in hold:
+                if v in rows:
+                    rows[v][c] = 1
+                else:
+                    rows[v] = {c: 1}
+        w, j = _first_dependent(rows, holders)
+        tn, tq, hits = _step([num[e] for e in cols], [den[e] for e in cols], w)
+        g = gcd(tn, tq)
+        tn, tq = tn // g, tq // g
         fixed_now = []
-        tn, tq = t.numerator, t.denominator
-        for idx, (e, we) in enumerate(support):
-            if idx in hit_set:
-                x[e] = _ONE if we > 0 else _ZERO
-                del h[e]
-                fixed_now.append(e)
-                for v in edges[e]:
-                    frac_deg[v] -= 1
-            else:
-                # h + t*w over one common denominator
-                he = h[e]
-                hq = he.denominator
-                h[e] = Fraction(he.numerator * tq + tn * we * hq, hq * tq)
+        for idx in hits:
+            e = cols[idx]
+            x[e] = _ONE if w[idx] > 0 else _ZERO
+            fixed_now.append(e)
+            for v in edges[e]:
+                frac_deg[v] -= 1
+                if frac_deg[v] == r:
+                    constrained.discard(v)
+        for e, we in zip(cols, w):
+            if we and x[e] is None:
+                # h + t*w over one common denominator, reduced
+                hq = den[e]
+                a, b = num[e] * tq + tn * we * hq, hq * tq
+                g = gcd(a, b)
+                num[e], den[e] = a // g, b // g
         # the kernel_direction vector is w / |w[j]|, so its step is t * |w[j]|
-        steps.append(TraceStep(s, len(frac), t * abs(w[j]), tuple(fixed_now)))
-        frac = [e for e in cols if e in h] + frac[s + 1 :]
-        constrained = [v for v in constrained if frac_deg[v] > r]
+        step = Fraction(tn * abs(w[j]), tq)
+        steps.append(TraceStep(s, len(frac), step, tuple(fixed_now)))
+        frac = [e for e in cols if x[e] is None] + frac[s + 1 :]
 
-    if h:
-        for e, val in finalize_low_degree(h_graph, h).items():
+    if frac:
+        for e, val in finalize_low_degree(h_graph, _fractions(frac, num, den)).items():
             x[e] = val
 
     result = Weighting(x)
     if verify_invariants:
         _check_discrepancy(h_graph, z, result, r)
     return result, RoundingTrace(tuple(steps))
+
+
+def _fractions(frac, num, den):
+    """The fractional edges' weights as {edge: Fraction}."""
+    return {e: Fraction(num[e], den[e]) for e in frac}
 
 
 def _check_conservation(h_graph, x, h, constrained, target_sums):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import hypermaj
-from hypermaj import cli, linearhg
+from hypermaj import cli, hypercore, linearhg
 from hypermaj.genlab import GenSpec, generate, verify
 from hypermaj.hypercore import (
     parse_colouring,
@@ -132,6 +132,23 @@ def test_generate_rejects_empty_sizes_exit_2(tmp_path):
         )
         assert res.returncode == 2, res.stderr
         assert res.stderr == f"error: {name} must be at least 1, got 0\n"
+
+
+def test_vertex_count_over_limit_exit_2_before_allocating(tmp_path, monkeypatch, capsys):
+    def no_build(*args):
+        raise AssertionError("instance built for an over-limit vertex count")
+
+    monkeypatch.setattr(hypercore, "Hypergraph", no_build)
+    monkeypatch.setattr(cli, "generate", no_build)
+    hgr = tmp_path / "huge.hgr"
+    hgr.write_text("0 10000000000\n")
+    assert cli.main(["verify", "--k", "2", str(hgr), str(hgr)]) == 2
+    assert "vertex count 10000000000 exceeds the limit" in capsys.readouterr().err
+    argv = ["generate", "--model", "uniform", "--n", "10000000000", "--r", "2",
+            "--min-degree", "1", "-o", str(tmp_path / "g.hgr")]
+    assert cli.main(argv) == 2
+    assert "n=10000000000 exceeds the vertex limit" in capsys.readouterr().err
+    assert not (tmp_path / "g.hgr").exists()
 
 
 def test_colour_partition_below_degree_bound(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from hypermaj.genlab import (
     generate,
     verify,
 )
-from hypermaj.hypercore import Colouring, Hypergraph
+from hypermaj.hypercore import MAX_VERTICES, Colouring, Hypergraph, serialize_hypergraph
 
 
 def bundle(d):
@@ -131,6 +132,32 @@ def test_genspec_validation():
         GenSpec(model="uniform", n=0, r=2, min_degree=1, seed=0)
     with pytest.raises(ValueError):
         GenSpec(model="uniform", n=5, r=2, min_degree=-1, seed=0)
+
+
+def test_genspec_rejects_vertex_count_over_limit():
+    for n in (MAX_VERTICES + 1, 10**10):
+        with pytest.raises(PreconditionError, match=f"n={n} exceeds the vertex limit"):
+            GenSpec(model="uniform", n=n, r=2, min_degree=1, seed=0)
+
+
+# sha256 of serialize_hypergraph(generate(spec)), recorded with the
+# generators that rescanned min(deg) after every sample
+GENERATED_SHA256 = {
+    ("uniform", 30, 3, 6, 1): "a008bd9b3567b44ec502b3323d19ab4a277db49f973b9c6c5afc2c8067c576bd",
+    ("uniform", 30, 3, 6, 2): "36d3aa7de6eb520ac4e616ce228159625bea7bbe38dec015906327ad44891cd4",
+    ("linear", 40, 3, 3, 1): "68bae2d946623b282d8a2f3e2e48c053bd8ab74af74abee0793a2ba7bc7e6fd7",
+    ("linear", 40, 3, 3, 2): "662d789ea74164279b9fcba1aeb1a4525f63e21f84f5e42ae3ec20d8efbc9298",
+    ("graph", 30, 2, 5, 1): "6e09fd24124a72a39320570e1843530c84e27ce3089b81461b893f1b0cf7ce3f",
+    ("graph", 30, 2, 5, 2): "932970b0fbfdcba741ecd0aa9d71d4a0704cf127a08bb9a5f132669dd3d3b52c",
+    ("regular", 30, 3, 6, 1): "1f008205bd03fb3b3aa4560b5519fc9935c3df1e422907596bdc3b03cfaff1d7",
+    ("regular", 30, 3, 6, 2): "c1c28302ed82da2ff944cee544424dc054cde35ad757d8d539674247d12abb7c",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GENERATED_SHA256))
+def test_generated_instances_match_pinned_digests(spec):
+    text = serialize_hypergraph(generate(GenSpec(*spec)))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_SHA256[spec]
 
 
 def test_generators_reproducible():

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypermaj import hypercore
 from hypermaj.errors import FormatError
 from hypermaj.hypercore import (
+    MAX_VERTICES,
     Colouring,
     Hypergraph,
     Weighting,
@@ -205,6 +207,34 @@ def test_weighting_validation():
         Weighting([Fraction(3, 2)])
     with pytest.raises(ValueError):
         Weighting([-1])
+
+
+def test_weighting_wraps_and_range_checks_like_fraction():
+    w = Weighting([0, 1, "1/2", "0.25", 0.5, Fraction(2, 4), Fraction(1)])
+    half = Fraction(1, 2)
+    assert w.weights == (Fraction(0), Fraction(1), half, Fraction(1, 4), half, half, Fraction(1))
+    assert all(type(x) is Fraction for x in w.weights)
+    for bad, text in (
+        (Fraction(3, 2), "3/2"),
+        (Fraction(-1, 3), "-1/3"),
+        (Fraction(-1), "-1"),
+        ("4/3", "4/3"),
+        (2, "2"),
+    ):
+        with pytest.raises(ValueError, match=f"^weight {text} of edge 1 outside \\[0, 1\\]$"):
+            Weighting([Fraction(1, 3), bad])
+    with pytest.raises(ValueError):
+        Weighting(["x"])
+
+
+def test_parse_rejects_vertex_count_over_limit_before_allocating(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("Hypergraph built for an over-limit header")
+
+    monkeypatch.setattr(hypercore, "Hypergraph", no_build)
+    for n in (MAX_VERTICES + 1, 10**10):
+        with pytest.raises(FormatError, match=f"line 1: vertex count {n} exceeds the limit of {MAX_VERTICES}"):
+            parse_hypergraph(f"0 {n}\n")
 
 
 def test_parse_weights_forms():

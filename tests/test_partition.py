@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from hypermaj.errors import InvariantBreach, PreconditionError
 from hypermaj.genlab import GenSpec, complete_graph, generate, verify
-from hypermaj.hypercore import Hypergraph
+from hypermaj.hypercore import Hypergraph, serialize_colouring
 from hypermaj.partition import (
     alpha,
     alpha_schedule,
@@ -102,6 +103,21 @@ def test_partition_covers_every_edge_once():
     assert colouring.palette_size == 3
     assert len(colouring) == len(h.edges)
     assert set(colouring.colours) == {1, 2, 3}
+
+
+# sha256 over the serialized colourings of these four instances (m = 451-847,
+# kernel windows of up to n = 40 and 60 rows), recorded with the kernel walk
+# that kept its weights as Fractions
+GOLDEN_PARTITION_SHA256 = "39cf30c26431d8e591e383e080966d1d4e2310d6dd1d4c7323ad991fd9f1bfe1"
+
+
+def test_colour_partition_golden_digest():
+    digest = hashlib.sha256()
+    for n, r, delta in ((40, 3, 24), (60, 2, 16)):
+        for seed in (1, 2):
+            h = generate(GenSpec("uniform", n, r, delta, seed))
+            digest.update(serialize_colouring(colour_partition(h, 2)).encode())
+    assert digest.hexdigest() == GOLDEN_PARTITION_SHA256
 
 
 def test_partition_deterministic():

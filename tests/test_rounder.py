@@ -12,6 +12,7 @@ from hypermaj.genlab import GenSpec, generate
 from hypermaj.hypercore import Hypergraph, Weighting
 from hypermaj.partition import alpha_schedule
 from hypermaj.rounder import (
+    RoundingTrace,
     TraceStep,
     finalize_low_degree,
     kernel_direction,
@@ -64,6 +65,46 @@ def reference_kernel(matrix):
                 d = [-y for y in d]
             break
     return d
+
+
+def reference_round_weights(h, z):
+    """The kernel walk in Fractions, as round_weights ran before it kept
+    integer pairs: the window of the first s+1 fractional edges over the s
+    constrained vertices is solved densely by reference_kernel, and every
+    step length and weight is a Fraction. Used as an oracle."""
+    r = h.rank()
+    x = {e: w for e, w in enumerate(z.weights) if w.denominator == 1}
+    hv = {e: w for e, w in enumerate(z.weights) if w.denominator != 1}
+    steps = []
+    while True:
+        frac = sorted(hv)
+        frac_deg = {}
+        for e in frac:
+            for v in h.edges[e]:
+                frac_deg[v] = frac_deg.get(v, 0) + 1
+        constrained = sorted(v for v, d in frac_deg.items() if d > r)
+        if not constrained:
+            break
+        s = len(constrained)
+        cols = frac[: s + 1]
+        d = reference_kernel(
+            [[1 if v in h.edges[e] else 0 for e in cols] for v in constrained]
+        )
+        moving = [(e, de) for e, de in zip(cols, d) if de]
+        t = min((1 - hv[e]) / de if de > 0 else hv[e] / -de for e, de in moving)
+        fixed = []
+        for e, de in moving:
+            val = hv[e] + t * de
+            if val in (0, 1):
+                x[e] = val
+                del hv[e]
+                fixed.append(e)
+            else:
+                hv[e] = val
+        steps.append(TraceStep(s, len(frac), t, tuple(fixed)))
+    for e, val in hv.items():
+        x[e] = F(1) if val >= F(1, 2) else F(0)
+    return Weighting([x[e] for e in range(len(z))]), RoundingTrace(tuple(steps))
 
 
 def incidence_sums(h, w):
@@ -187,6 +228,12 @@ def test_step_to_boundary_worked_examples():
     assert (t, hits) == (F(1, 2), (0,))
     t, hits = step_to_boundary([F(1, 4), F(3, 4)], [F(1), F(1)])
     assert (t, hits) == (F(1, 4), (1,))
+    # rational directions, which the integer step sees scaled by the lcm
+    # of their denominators
+    t, hits = step_to_boundary([F(1, 4), F(1, 2)], [F(3, 2), F(-1, 4)])
+    assert (t, hits) == (F(1, 2), (0,))
+    t, hits = step_to_boundary([F(1, 2), F(1, 3), F(2, 5)], [F(1, 2), F(-1, 3), 0])
+    assert (t, hits) == (F(1), (0, 1))
 
 
 def test_step_to_boundary_simultaneous_hits():
@@ -327,6 +374,38 @@ def test_round_discrepancy_below_rank_property(case):
     x, _ = round_weights(h, z)
     assert all(w in (0, 1) for w in x.weights)
     assert within_rank_band(h, z, x)
+
+
+@st.composite
+def walk_cases(draw):
+    """Denser rank-r hypergraphs (r 2-4) than weighted_hypergraphs, so that
+    most draws walk several iterations, with repeated edges and weights over
+    mixed denominators, some of them 0 or 1."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(r, 8))
+    vertices = st.integers(0, n - 1)
+    edges = [draw(st.lists(vertices, min_size=r, max_size=r, unique=True))]
+    edges += draw(
+        st.lists(st.lists(vertices, min_size=1, max_size=r, unique=True), min_size=6, max_size=28)
+    )
+    edges += draw(st.lists(st.sampled_from(edges), max_size=6))
+    # a denominator of 1 gives a 0 or a 1
+    weight = st.builds(
+        lambda q, p: F(p % (q + 1), q),
+        st.sampled_from((1, 2, 3, 5, 7, 12, 97, 1000)),
+        st.integers(0, 1000),
+    )
+    z = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    return Hypergraph(n, edges), Weighting(z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases(), st.booleans())
+def test_round_matches_fraction_reference_property(case, verify_invariants):
+    h, z = case
+    assert round_weights(h, z, verify_invariants=verify_invariants) == (
+        reference_round_weights(h, z)
+    )
 
 
 def test_round_trace_progress():
