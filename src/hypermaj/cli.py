@@ -2,7 +2,8 @@
 
 Subcommands: colour, verify, round, threshold, generate, oracle.
 Exit codes: 0 success; 1 the requested property does not hold (invalid
-colouring, no oracle witness, every resampling trial exhausted);
+colouring, no oracle witness, no resampling trial succeeded: each was
+exhausted, or infeasible because some vertex has 0 < d(v) < k);
 2 malformed input or violated precondition; 3 internal error (an
 algorithm's own guarantee failed, which is a bug, not bad input).
 
@@ -148,7 +149,7 @@ def _cmd_colour(args, rep: Reporter) -> int:
     h_graph = parse_hypergraph(_read(args.input))
     k = args.k
     rows = []  # (kind, fields, text) report lines, emitted after delivery
-    exhausted = False
+    failed = False  # no random-lll trial succeeded
 
     if args.algorithm == "partition":
         colouring, alphas = partition_rounds(h_graph, k)
@@ -171,7 +172,7 @@ def _cmd_colour(args, rep: Reporter) -> int:
                 pool.map(lambda s: resample_colour(h_graph, k, s, args.max_rounds), seeds)
             )
         winner = next((r for r in runs if r.outcome == "success"), None)
-        exhausted = winner is None
+        failed = winner is None
         colouring = (winner or runs[0]).colouring
         for run in runs:
             row = {"seed": run.seed, "outcome": run.outcome, "rounds": run.rounds_used}
@@ -181,7 +182,7 @@ def _cmd_colour(args, rep: Reporter) -> int:
     for kind, row, text in rows:
         rep.emit(kind, row, stream, text)
     palette = colouring.palette_size
-    if exhausted:
+    if failed:
         _summary(rep, stream, args.algorithm, k, palette, False, t0)
         return 1
     if args.no_verify:

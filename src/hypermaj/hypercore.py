@@ -12,6 +12,19 @@ The vertex count may be at most MAX_VERTICES (2**22): per-vertex tables
 are allocated from the header before any edge is read, and at that bound
 parsing a header-only file takes about 360 MB.
 
+Invariants of a Hypergraph (n_vertices >= 0; every edge a non-empty set
+of ids in [0, n_vertices); incidence lists ascending) are checked once,
+where the edges come from:
+    Hypergraph(n, edges)   the public constructor validates everything,
+                           for generators, tests and library users;
+    parse_hypergraph       checks every token as it reads it (integer,
+                           in range, not repeated in its line, no empty
+                           line), then builds without checking again;
+    split_hypergraph       builds H* from the sub-vertex blocks it deals
+                           and certifies H* itself (linearhg).
+The last two go through the private Hypergraph._trusted, which indexes
+without validating; nothing else may call it.
+
 Colouring files hold one integer colour per line (line i = colour of edge i)
 with an optional ``# palette <C>`` header. Weights files hold one rational
 per line, written either as ``p/q`` or as a decimal.
@@ -65,16 +78,44 @@ class Hypergraph:
                 if not 0 <= v < n_vertices:
                     raise ValueError(f"edge {idx}: vertex-id {v} out of range")
             norm.append(fs)
+        self._index(n_vertices, norm)
+
+    @classmethod
+    def _trusted(
+        cls,
+        n_vertices: int,
+        edges: list[frozenset[int]],
+        incidence: Optional[list[tuple[int, ...]]] = None,
+    ) -> "Hypergraph":
+        """A Hypergraph from edges that already satisfy every invariant
+        the constructor checks (n_vertices >= 0; each edge a non-empty
+        frozenset of ids in range). incidence, when given, must list each
+        vertex's edge ids in ascending order. Private: only parse_hypergraph
+        and split_hypergraph, which establish the invariants themselves,
+        may call it."""
+        h = cls.__new__(cls)
+        h._index(n_vertices, edges, incidence)
+        return h
+
+    def _index(
+        self,
+        n_vertices: int,
+        edges: list[frozenset[int]],
+        incidence: Optional[list[tuple[int, ...]]] = None,
+    ) -> None:
+        # The one indexing routine behind both entry points. Tuples are
+        # built from lists, never from generators: CPython grows a
+        # tuple(generator) by resizing, and the resized blocks pile up on
+        # other sizes' free lists.
+        if incidence is None:
+            incidence = [[] for _ in range(n_vertices)]
+            for e, fs in enumerate(edges):
+                for v in fs:
+                    incidence[v].append(e)
         object.__setattr__(self, "n_vertices", n_vertices)
-        object.__setattr__(self, "edges", tuple(norm))
-        degrees = [0] * n_vertices
-        incidence: list[list[int]] = [[] for _ in range(n_vertices)]
-        for e, fs in enumerate(self.edges):
-            for v in fs:
-                degrees[v] += 1
-                incidence[v].append(e)
-        object.__setattr__(self, "_degrees", tuple(degrees))
-        object.__setattr__(self, "_incidence", tuple(tuple(lst) for lst in incidence))
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "_incidence", tuple([tuple(lst) for lst in incidence]))
+        object.__setattr__(self, "_degrees", tuple([len(lst) for lst in incidence]))
 
     def degree(self, v: int) -> int:
         """Number of edges containing v (multi-edges count separately)."""
@@ -88,6 +129,10 @@ class Hypergraph:
         """Edge indices containing v, in ascending order."""
         self._check_vertex(v)
         return self._incidence[v]
+
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """incident_edges(v) for every vertex v, in vertex order."""
+        return self._incidence
 
     def min_degree(self) -> int:
         if self.n_vertices == 0:
@@ -210,7 +255,7 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
             head_no, f"vertex count {n_vertices} exceeds the limit of {MAX_VERTICES}"
         )
 
-    edges: list[list[int]] = []
+    edges: list[frozenset[int]] = []
     last_no = head_no
     for no, line in lines[1:]:
         last_no = no
@@ -231,10 +276,13 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
                 raise FormatError(no, f"duplicate vertex {v} in edge")
             seen.add(v)
             members.append(v - 1)
-        edges.append(members)
+        # from the members in file order: a frozenset's iteration order can
+        # depend on insertion order, and the rounder and resampler follow it
+        edges.append(frozenset(members))
     if len(edges) != n_edges:
         raise FormatError(last_no, f"expected {n_edges} edges, found {len(edges)}")
-    return Hypergraph(n_vertices, edges)
+    # every token is checked above: ids in range, none repeated, no edge empty
+    return Hypergraph._trusted(n_vertices, edges)
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:

@@ -13,12 +13,22 @@ rank. The route:
      edge ids untouched). No colour repeats at a sub-vertex, so at each
      original vertex u a colour appears at most t_u times.
 
+H* is built from the split itself: block j of vertex u is the incidence
+of one sub-vertex, so the blocks are H*'s incidence lists and each edge's
+members are collected in the same pass, with nothing re-derived or
+re-validated. Its guarantees are certified from what that pass has:
+every block holds at most k+1 edges; no edge pair occurs in two blocks
+(two edges sharing two sub-vertices would put their pair in both), so
+H* is linear; and every edge gets as many distinct sub-vertices as it
+has vertices, so sizes and the rank are unchanged.
+
 Determinism: incident edges are dealt to sub-vertices in ascending
 edge-id order, and the greedy scan also runs in ascending node order.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import InvariantBreach, PreconditionError
@@ -80,6 +90,16 @@ def split_degrees(d: int, k: int) -> tuple[int, int]:
     return d % k, d // k
 
 
+def _deal(incident: tuple[int, ...], k: int) -> VertexSplit:
+    """Deal a vertex's ascending incident edge ids into blocks: the
+    first m blocks take k+1 edges, the remaining t - m take k."""
+    m, t = split_degrees(len(incident), k)
+    cut = m * (k + 1)
+    blocks = [incident[i : i + k + 1] for i in range(0, cut, k + 1)]
+    blocks += [incident[i : i + k] for i in range(cut, len(incident), k)]
+    return VertexSplit(m, t, tuple(blocks))
+
+
 def split_hypergraph(h_graph: Hypergraph, k: int) -> tuple[Hypergraph, SplitMap]:
     """Replace each vertex by its sub-vertices; every edge keeps its id
     and size, with each endpoint swapped for the sub-vertex it was dealt
@@ -95,41 +115,42 @@ def split_hypergraph(h_graph: Hypergraph, k: int) -> tuple[Hypergraph, SplitMap]
         raise PreconditionError(
             f"min degree {delta} below k^2 - k = {k * k - k} for k = {k}"
         )
-    splits: list[VertexSplit] = []
-    sub_of: list[dict[int, int]] = []
-    total = 0
-    for u in range(h_graph.n_vertices):
-        incident = h_graph.incident_edges(u)
-        m, t = split_degrees(len(incident), k)
-        blocks: list[tuple[int, ...]] = []
-        lookup: dict[int, int] = {}
-        pos = 0
-        for j in range(t):
-            size = k + 1 if j < m else k
-            block = tuple(incident[pos : pos + size])
-            blocks.append(block)
-            for e in block:
-                lookup[e] = total + j
-            pos += size
-        splits.append(VertexSplit(m, t, tuple(blocks)))
-        sub_of.append(lookup)
-        total += t
-    new_edges = [
-        tuple(sub_of[v][e] for v in edge) for e, edge in enumerate(h_graph.edges)
-    ]
-    h_star = Hypergraph(total, new_edges)
-    max_degree = max(h_star.degrees(), default=0)
+    edges = h_graph.edges
+    splits = [_deal(incident, k) for incident in h_graph.incidence()]
+    # Sub-vertices are numbered vertex by vertex, so the s-th block overall
+    # is the incidence of sub-vertex s; an edge pair seen in two blocks is
+    # two edges sharing two sub-vertices.
+    blocks = [block for split in splits for block in split.blocks]
+    members: list[list[int]] = [[] for _ in edges]
+    first: dict[tuple[int, int], int] = {}
+    for s, block in enumerate(blocks):
+        for e in block:
+            members[e].append(s)
+        for pair in itertools.combinations(block, 2):
+            if pair in first:
+                raise InvariantBreach(
+                    "split hypergraph is not linear",
+                    edges=pair,
+                    sub_vertices=(first[pair], s),
+                )
+            first[pair] = s
+    max_degree = max(map(len, blocks), default=0)
     if max_degree > k + 1:
         raise InvariantBreach(
             "split left a sub-vertex above degree k+1", max_degree=max_degree, k=k
         )
-    witness = h_star.linearity_witness()
-    if witness is not None:
-        raise InvariantBreach("split hypergraph is not linear", edges=witness)
-    if h_star.rank() != h_graph.rank():
-        raise InvariantBreach(
-            "split changed the rank", rank=h_graph.rank(), split_rank=h_star.rank()
-        )
+    # |e| distinct sub-vertices per edge also keeps the rank
+    new_edges = [frozenset(ms) for ms in members]
+    for e, (fs, ms, sub) in enumerate(zip(edges, members, new_edges)):
+        if not len(fs) == len(ms) == len(sub):
+            raise InvariantBreach(
+                "split changed the size of an edge",
+                edge=e,
+                size=len(fs),
+                split_size=len(sub),
+                dealt=len(ms),
+            )
+    h_star = Hypergraph._trusted(len(blocks), new_edges, blocks)
     return h_star, SplitMap(tuple(splits))
 
 
@@ -138,21 +159,19 @@ def line_graph(h_star: Hypergraph) -> LineGraph:
     rank * (max_degree - 1), since each of its at most `rank` vertices
     contributes at most max_degree - 1 other edges."""
     m = len(h_star.edges)
-    neighbour_sets: list[set[int]] = [set() for _ in range(m)]
-    for v in range(h_star.n_vertices):
-        incident = h_star.incident_edges(v)
-        for a in range(len(incident)):
-            for b in range(a + 1, len(incident)):
-                neighbour_sets[incident[a]].add(incident[b])
-                neighbour_sets[incident[b]].add(incident[a])
-    lg = LineGraph(m, tuple(tuple(sorted(s)) for s in neighbour_sets))
+    incidence = h_star.incidence()
+    neighbours = []
+    for e, fs in enumerate(h_star.edges):
+        nb = {f for v in fs for f in incidence[v]}
+        nb.discard(e)
+        neighbours.append(tuple(sorted(nb)))
+    lg = LineGraph(m, tuple(neighbours))
     if m:
         cap = h_star.rank() * max(h_star.max_degree() - 1, 0)
-        if lg.max_degree() > cap:
+        top = lg.max_degree()
+        if top > cap:
             raise InvariantBreach(
-                "line graph degree exceeded its cap",
-                max_degree=lg.max_degree(),
-                cap=cap,
+                "line graph degree exceeded its cap", max_degree=top, cap=cap
             )
     return lg
 

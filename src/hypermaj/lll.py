@@ -11,8 +11,9 @@ holding at delta and every larger degree, such a colouring exists. The
 constructive surrogate here redraws the incident edges of the lowest-id
 bad vertex until no bad vertex remains, with a hard round cap; running
 out of rounds is a reportable outcome, not an error, since below the
-threshold no guarantee applies (and for d(v) < k no valid colouring
-exists at all).
+threshold no guarantee applies. When some vertex has 0 < d(v) < k no
+valid colouring exists at all, and the run reports "infeasible" at
+round 0 without resampling.
 
 The resampler keeps, per vertex, its colour counts, its bound d(v)//k
 and how many colours exceed the bound, plus a min-heap of bad vertex ids
@@ -67,9 +68,11 @@ _CUTOFF = Decimal(1 - 2.0**-30)
 class ResampleRun:
     """Result of one seeded resampling run.
 
-    outcome is "success" (colouring is set and majority-valid) or
+    outcome is "success" (colouring is set and majority-valid),
     "exhausted" (the round cap was hit; colouring holds the final,
-    still-invalid state for inspection).
+    still-invalid state for inspection) or "infeasible" (some vertex has
+    0 < d(v) < k, so no colouring is valid; the run stops at round 0 and
+    colouring holds the first draw).
     """
 
     seed: int
@@ -168,7 +171,9 @@ def resample_colour(
     """Draw a random colouring, then repeatedly redraw the incident
     edges of the lowest-id bad vertex. Stops with "success" when no bad
     vertex remains, or "exhausted" after max_rounds resamplings
-    (default 10000 per edge).
+    (default 10000 per edge). A vertex with 0 < d(v) < k has bound
+    d(v)//k = 0, so every colouring is bad there: the run returns
+    "infeasible" at round 0 instead of spending the cap.
 
     Colour counts per vertex are kept up to date edge by edge, so a
     round costs O(d(v) r) for the d(v) redrawn edges of rank up to r."""
@@ -181,6 +186,8 @@ def resample_colour(
         raise PreconditionError(f"max_rounds must be non-negative, got {max_rounds}")
     rng = random.Random(seed)
     colours = [rng.randint(1, k + 1) for _ in edges]
+    if any(0 < d < k for d in h_graph.degrees()):
+        return ResampleRun(seed, max_rounds, 0, "infeasible", Colouring(colours, k + 1))
     bounds = [d // k for d in h_graph.degrees()]
     # counts[v][c]: edges of colour c at v; over[v]: colours whose count
     # exceeds v's bound, so v is bad exactly when over[v] > 0.

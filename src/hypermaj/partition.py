@@ -60,7 +60,8 @@ def alpha(i: int, delta: int, k: int, r: int) -> Fraction:
 
 def alpha_schedule(delta: int, k: int, r: int) -> tuple[Fraction, ...]:
     """All k round weights, exact rationals strictly inside (0, 1)."""
-    alphas = tuple(alpha(i, delta, k, r) for i in range(1, k + 1))
+    # from a list, not a generator (see Hypergraph._index)
+    alphas = tuple([alpha(i, delta, k, r) for i in range(1, k + 1)])
     for i, a in enumerate(alphas, start=1):
         if not 0 < a < 1:
             raise InvariantBreach(

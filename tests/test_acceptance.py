@@ -364,7 +364,7 @@ def test_checker_coherence_and_failure_paths():
         with pytest.raises(PreconditionError):
             colour_linear(h, k)
         run = resample_colour(h, k, seed=0, max_rounds=50)
-        ok_paths = ok_paths and run.outcome == "exhausted"
+        ok_paths = ok_paths and run.outcome == "infeasible" and run.rounds_used == 0
 
     ok = agreements == colourings and ok_paths
     _report(

@@ -1,16 +1,22 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypermaj
 from hypermaj import cli, hypercore, linearhg
 from hypermaj.genlab import GenSpec, generate, verify
 from hypermaj.hypercore import (
+    Hypergraph,
     parse_colouring,
     parse_hypergraph,
     parse_weights,
@@ -257,9 +263,15 @@ def test_no_verify_skips_check(tmp_path):
     assert "valid=-" in res.stdout
 
 
+# The Fano plane: every degree is 3 >= k = 2, yet no 3-colouring is
+# 1/2-majority (each vertex needs its three edges in distinct colours,
+# and the line graph is K7), so resampling can only exhaust its cap.
+FANO_HGR = "7 7\n1 2 3\n1 4 5\n1 6 7\n2 4 6\n2 5 7\n3 4 7\n3 5 6\n"
+
+
 def test_random_lll_trials_ordered_and_exhausted_exit(tmp_path):
     hgr = tmp_path / "in.hgr"
-    hgr.write_text("1 2\n1 2\n")  # degree 1 < k: unsatisfiable
+    hgr.write_text(FANO_HGR)
     res = run_cli(
         "colour", "--algorithm", "random-lll", "--k", "2", str(hgr),
         "-o", str(tmp_path / "o.col"), "--trials", "3", "--jobs", "2",
@@ -270,6 +282,20 @@ def test_random_lll_trials_ordered_and_exhausted_exit(tmp_path):
     assert [l.split()[1] for l in lines] == ["seed=50", "seed=51", "seed=52"]
     assert all("outcome=exhausted" in l for l in lines)
     assert "valid=false" in res.stdout
+
+
+def test_random_lll_infeasible_exit_1(tmp_path, capsys):
+    hgr = tmp_path / "in.hgr"
+    hgr.write_text("1 2\n1 2\n")  # degree 1 < k: no colouring is valid
+    argv = ["colour", str(hgr), "--algorithm", "random-lll", "--k", "2",
+            "--trials", "2", "--seed", "50", "-o", str(tmp_path / "o.col")]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [l for l in out if l.startswith("trial ")] == [
+        "trial seed=50 outcome=infeasible rounds=0",
+        "trial seed=51 outcome=infeasible rounds=0",
+    ]
+    assert "valid=false" in out[-1]
 
 
 def test_random_lll_success(tmp_path):
@@ -336,7 +362,7 @@ def test_negative_max_rounds_exit_2(tmp_path, capsys):
 
 def test_trials_start_at_most_one_thread_per_core(tmp_path, monkeypatch, capsys):
     hgr = tmp_path / "in.hgr"
-    hgr.write_text("1 2\n1 2\n")  # degree 1 < k: every trial exhausts
+    hgr.write_text("1 2\n1 2\n")  # degree 1 < k: every trial is infeasible
     started = []
 
     class RecordingPool:
@@ -434,3 +460,100 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+@st.composite
+def fuzz_files(draw, kind):
+    """Small text for an HGR, colouring or weights file: half the time a
+    valid file of its kind (at most 6 edges or entries, so the oracle's
+    search space stays tiny), else at most six lines of tokens drawn from
+    digits, signs, fractions and junk."""
+    if draw(st.booleans()):
+        if kind == "hgr":
+            n = draw(st.integers(1, 6))
+            edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+            return serialize_hypergraph(Hypergraph(n, draw(st.lists(edge, max_size=6))))
+        entry = st.integers(1, 3).map(str) if kind == "colours" else st.fractions(0, 1, max_denominator=12).map(str)
+        head = "# palette 3\n" if kind == "colours" and draw(st.booleans()) else ""
+        return head + "".join(e + "\n" for e in draw(st.lists(entry, max_size=6)))
+    token = st.sampled_from(
+        ("0", "1", "2", "3", "6", "-1", "1/2", "3/2", "0.5", "1e3", "x", "%", "#", "palette", "")
+    )
+    lines = draw(st.lists(st.lists(token, max_size=4).map(" ".join), max_size=6))
+    return draw(st.sampled_from(("\n", "\r\n"))).join(lines) + "\n"
+
+
+@st.composite
+def fuzz_argvs(draw):
+    """argv for every subcommand with flag values from small ranges, some
+    out of their domain, plus stray tokens. random-lll always gets an
+    explicit small --max-rounds and at most 3 trials and jobs."""
+    def pick(valid, invalid):
+        # about one draw in ten is out of the domain
+        out = draw(st.sampled_from((False,) * 9 + (True,)))
+        return draw(st.sampled_from(invalid if out else valid))
+
+    def small():
+        return pick(("2", "3", "4"), ("-1", "0", "1", "5", "x", "2.5"))
+
+    commands = ("colour",) * 4 + ("verify", "round", "threshold", "generate", "oracle")
+    command = draw(st.sampled_from(commands))
+    argv = [command]
+    if command in ("colour", "verify", "round", "oracle"):
+        argv.append("IN")
+    if command == "colour":
+        algorithm = pick(("partition", "linear", "random-lll"), ("other",))
+        argv += ["--algorithm", algorithm, "--k", small()]
+        if algorithm == "random-lll":
+            argv += ["--max-rounds", pick(("0", "1", "7", "30"), ("-1",))]
+            for flag in ("--seed", "--trials", "--jobs"):
+                if draw(st.booleans()):
+                    argv += [flag, pick(("1", "2", "3"), ("-1", "0"))]
+        own = {"partition": "--trace", "linear": "--emit-split=SPLIT"}.get(algorithm, "-o=OUT")
+        argv += draw(st.lists(st.sampled_from(("--no-verify", "-o=OUT", own)), unique=True))
+    elif command == "verify":
+        argv += ["COLOURS", "--k", small()]
+    elif command == "round":
+        argv += ["WEIGHTS"] + draw(st.lists(st.sampled_from(("-o=OUT", "--trace-file=TRACE")), unique=True))
+    elif command == "threshold":
+        argv += ["--k", small(), "--r", small()]
+    elif command == "generate":
+        argv += ["--model", pick(("uniform", "linear", "graph", "regular"), ("x",))]
+        for flag in ("--n", "--r", "--min-degree"):
+            argv += [flag, str(draw(st.integers(-1, 12)))]
+        argv += draw(st.lists(st.sampled_from(("--seed=3", "-o=OUT")), unique=True))
+    else:
+        argv += ["--k", small(), "--palette", small()]
+    if draw(st.booleans()):
+        argv.insert(0 if draw(st.booleans()) else len(argv), "--format=json-lines")
+    if draw(st.integers(0, 5)) == 0:
+        stray = ("--bogus", "-o", "--k", "IN", "--trace", "--emit-split=SPLIT", "--seed=1")
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(stray)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_argvs(), fuzz_files("hgr"), fuzz_files("colours"), fuzz_files("weights"))
+def test_cli_exit_contract_fuzz(argv, hgr, colours, weights):
+    # Any argv and any small input ends in an exit code of the contract
+    # (0-3) with no traceback; argparse's own usage errors exit 2.
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in (("IN", hgr), ("COLOURS", colours), ("WEIGHTS", weights)):
+            paths[name] = os.path.join(tmp, name.lower())
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for name in ("OUT", "SPLIT", "TRACE"):
+            paths[name] = os.path.join(tmp, name.lower())
+        args = []
+        for arg in argv:
+            flag, eq, value = arg.partition("=")
+            args.append(flag + eq + paths.get(value, value) if eq else paths.get(arg, arg))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2, 3), (args, err.getvalue())
+    assert "Traceback" not in err.getvalue()

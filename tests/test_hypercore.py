@@ -306,3 +306,123 @@ def test_colouring_round_trip_property(case):
 def test_weights_round_trip_property(weights):
     w = Weighting(weights)
     assert parse_weights(serialize_weights(w), expected=len(w)).weights == w.weights
+
+
+def reference_parse(text):
+    """parse_hypergraph as it was before edges reached the trusted build:
+    the same per-token loop, then the validating constructor, which checks
+    range and duplicates again and indexes the edges itself."""
+    lines = hypercore._content_lines(text)
+    if not lines:
+        raise FormatError(1, "missing header")
+    head_no, head = lines[0]
+    parts = head.split()
+    if len(parts) != 2:
+        raise FormatError(head_no, f"malformed header {head!r}; expected '<num_edges> <num_vertices>'")
+    try:
+        n_edges, n_vertices = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise FormatError(head_no, f"malformed header {head!r}; counts must be integers") from None
+    if n_edges < 0 or n_vertices < 0:
+        raise FormatError(head_no, "header counts must be non-negative")
+    if n_vertices > MAX_VERTICES:
+        raise FormatError(
+            head_no, f"vertex count {n_vertices} exceeds the limit of {MAX_VERTICES}"
+        )
+    edges = []
+    last_no = head_no
+    for no, line in lines[1:]:
+        last_no = no
+        if not line:
+            raise FormatError(no, "empty edge line")
+        if len(edges) == n_edges:
+            raise FormatError(no, f"unexpected extra edge line; header declared {n_edges} edges")
+        members = []
+        seen = set()
+        for tok in line.split():
+            try:
+                v = int(tok)
+            except ValueError:
+                raise FormatError(no, f"invalid vertex-id {tok!r}") from None
+            if not 1 <= v <= n_vertices:
+                raise FormatError(no, f"vertex-id {v} out of range [1, {n_vertices}]")
+            if v in seen:
+                raise FormatError(no, f"duplicate vertex {v} in edge")
+            seen.add(v)
+            members.append(v - 1)
+        edges.append(members)
+    if len(edges) != n_edges:
+        raise FormatError(last_no, f"expected {n_edges} edges, found {len(edges)}")
+    return Hypergraph(n_vertices, edges)
+
+
+@st.composite
+def hgr_texts(draw):
+    """HGR text of a random hypergraph (members in random order, so the
+    file order is not sorted), with up to three corruptions: a bad,
+    out-of-range or repeated token, empty, blank, extra or missing lines,
+    comments, a broken header, CRLF line ends, bytes instead of str."""
+    # ids up to 20 collide in a small set's hash table, where a frozenset's
+    # iteration order depends on the order its members were added
+    n = draw(st.integers(0, 20))
+    edge = st.lists(st.integers(1, max(n, 1)), min_size=1, max_size=5, unique=True)
+    edges = draw(st.lists(edge, max_size=8)) if n else []
+    lines = [f"{len(edges)} {n}"] + [" ".join(map(str, e)) for e in edges]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(
+            ("token", "repeat", "empty", "blank", "extra", "missing", "comment", "header")
+        ))
+        at = draw(st.integers(1, len(lines)))
+        if kind in ("token", "repeat") and len(lines) > 1:
+            at = min(at, len(lines) - 1)
+            toks = lines[at].split() or ["1"]
+            i = draw(st.integers(0, len(toks) - 1))
+            if kind == "token":
+                toks[i] = draw(st.sampled_from(("x", "1.5", "-1", "0", str(n + 1), "+2", "1_0", "٣")))
+            else:
+                toks.insert(draw(st.integers(0, len(toks))), toks[i])
+            lines[at] = " ".join(toks)
+        elif kind in ("empty", "blank", "comment", "extra"):
+            text = {"empty": "", "blank": "   ", "comment": draw(st.sampled_from(("% c", "  %x 1 2")))}
+            lines.insert(at, text.get(kind, "1"))
+        elif kind == "missing" and len(lines) > 1:
+            del lines[at if at < len(lines) else 1]
+        elif kind == "header":
+            lines[0] = draw(st.sampled_from(
+                ("", "3", "x 2", f"{len(edges)} {n} 1", f"-1 {n}", f"{len(edges) + 1} {n}",
+                 f"{len(edges)} {MAX_VERTICES + 1}", f"{max(len(edges) - 1, 0)} {n}")
+            ))
+    sep = draw(st.sampled_from(("\n", "\r\n")))
+    text = sep.join(lines) + draw(st.sampled_from(("", sep, "  " + sep)))
+    return text.encode() if draw(st.booleans()) else text
+
+
+def parse_outcome(parse, text):
+    try:
+        h = parse(text)
+    except FormatError as exc:
+        return ("error", exc.line, str(exc))
+    return (
+        h.n_vertices,
+        h.edges,
+        [list(e) for e in h.edges],
+        h.degrees(),
+        [h.incident_edges(v) for v in range(h.n_vertices)],
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(hgr_texts())
+def test_parse_matches_reference_property(text):
+    assert parse_outcome(parse_hypergraph, text) == parse_outcome(reference_parse, text)
+
+
+def test_trusted_build_indexes_like_the_constructor():
+    edges = [(2, 0), (1,), (0, 1, 2), (1,)]
+    public = Hypergraph(4, edges)
+    trusted = Hypergraph._trusted(4, [frozenset(e) for e in edges])
+    given_incidence = Hypergraph._trusted(4, [frozenset(e) for e in edges], [[0, 2], [1, 2, 3], [0, 2], []])
+    for h in (trusted, given_incidence):
+        assert h == public
+        assert h.degrees() == public.degrees() == (2, 3, 2, 0)
+        assert h.incidence() == public.incidence() == ((0, 2), (1, 2, 3), (0, 2), ())

@@ -1,13 +1,18 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypermaj import linearhg
+from hypermaj import cli, linearhg
 from hypermaj.errors import InvariantBreach, PreconditionError
 from hypermaj.genlab import GenSpec, complete_graph, generate, verify
-from hypermaj.hypercore import Colouring, Hypergraph
+from hypermaj.hypercore import Colouring, Hypergraph, serialize_colouring
 from hypermaj.linearhg import (
     LineGraph,
+    SplitMap,
+    VertexSplit,
     colour_linear,
     greedy_colour,
     line_graph,
@@ -244,3 +249,178 @@ def test_colour_linear_breach_when_greedy_overflows_palette(monkeypatch):
     with pytest.raises(InvariantBreach) as exc:
         colour_linear(complete_graph(4), 2)
     assert exc.value.context == {"colour": 6, "palette": 5}
+
+
+def reference_split(h_graph, k):
+    """split_hypergraph as it was before H* was built from its blocks: a
+    sub-vertex lookup per vertex, H* through the validating constructor,
+    and its linearity checked by a second pass over H*."""
+    witness = h_graph.linearity_witness()
+    if witness is not None:
+        raise PreconditionError(
+            f"input is not linear: edges {witness[0] + 1} and {witness[1] + 1}"
+            " share two or more vertices"
+        )
+    delta = min(h_graph.degrees(), default=k * k - k)
+    if delta < k * k - k:
+        raise PreconditionError(
+            f"min degree {delta} below k^2 - k = {k * k - k} for k = {k}"
+        )
+    splits, sub_of, total = [], [], 0
+    for u in range(h_graph.n_vertices):
+        incident = h_graph.incident_edges(u)
+        m, t = split_degrees(len(incident), k)
+        blocks, lookup, pos = [], {}, 0
+        for j in range(t):
+            size = k + 1 if j < m else k
+            block = tuple(incident[pos : pos + size])
+            blocks.append(block)
+            for e in block:
+                lookup[e] = total + j
+            pos += size
+        splits.append(VertexSplit(m, t, tuple(blocks)))
+        sub_of.append(lookup)
+        total += t
+    new_edges = [tuple(sub_of[v][e] for v in edge) for e, edge in enumerate(h_graph.edges)]
+    h_star = Hypergraph(total, new_edges)
+    assert max(h_star.degrees(), default=0) <= k + 1
+    assert h_star.linearity_witness() is None
+    assert h_star.rank() == h_graph.rank()
+    return h_star, SplitMap(tuple(splits))
+
+
+def reference_line_graph(h_star):
+    """Line graph from every pair of edges at each vertex."""
+    neighbour_sets = [set() for _ in h_star.edges]
+    for v in range(h_star.n_vertices):
+        incident = h_star.incident_edges(v)
+        for a in range(len(incident)):
+            for b in range(a + 1, len(incident)):
+                neighbour_sets[incident[a]].add(incident[b])
+                neighbour_sets[incident[b]].add(incident[a])
+    return tuple(tuple(sorted(s)) for s in neighbour_sets)
+
+
+@st.composite
+def linear_cases(draw):
+    """(h, k): generated linear and graph instances, and hand-made linear
+    ones whose low-degree vertices are topped up with repeated size-1
+    edges; some keep an isolated vertex or a vertex below k^2 - k, which
+    the split must reject exactly as the reference does."""
+    k = draw(st.integers(2, 3))
+    model = draw(st.sampled_from(("linear", "graph", "hand")))
+    if model != "hand":
+        r = 2 if model == "graph" else draw(st.integers(3, 4))
+        degree = draw(st.integers(k * k - k, k * k - k + 3))
+        # about twice the vertices a vertex's edges span, so the generator
+        # never runs out of linear edges to draw
+        n = draw(st.integers(2 * degree * (r - 1) + 2, 2 * degree * (r - 1) + 10))
+        return generate(GenSpec(model, n, r, degree, draw(st.integers(0, 2**16)))), k
+    n = draw(st.integers(1, 10))
+    edges, pairs = [], set()
+    edge = st.lists(st.integers(0, n - 1), min_size=min(n, 2), max_size=4, unique=True)
+    for members in draw(st.lists(edge, max_size=14)):
+        inside = {(a, b) for a in members for b in members if a < b}
+        if not inside & pairs:
+            pairs |= inside
+            edges.append(members)
+    degree = [0] * n
+    for e in edges:
+        for v in e:
+            degree[v] += 1
+    skipped = draw(st.sets(st.integers(0, n - 1), max_size=1))
+    for v in range(n):
+        if v not in skipped:
+            edges += [[v]] * max(0, k * k - k - degree[v] + draw(st.integers(0, 3)))
+    draw(st.randoms()).shuffle(edges)
+    return Hypergraph(n, edges), k
+
+
+def split_outcome(split, lg, h, k):
+    try:
+        h_star, smap = split(h, k)
+    except PreconditionError as exc:
+        return ("precondition", str(exc))
+    return (
+        h_star.n_vertices,
+        h_star.edges,
+        h_star.degrees(),
+        [h_star.incident_edges(v) for v in range(h_star.n_vertices)],
+        smap,
+        lg(h_star),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_cases())
+def test_split_matches_reference_property(case):
+    h, k = case
+    assert split_outcome(
+        split_hypergraph, lambda hs: line_graph(hs).neighbours, h, k
+    ) == split_outcome(reference_split, reference_line_graph, h, k)
+
+
+# sha256 of golden_linear_digest(), recorded before H* was built from its
+# blocks: the colouring file and the --emit-split text of each instance.
+GOLDEN_LINEAR_SHA256 = "5631c2a483d7e82734f715a1f5b57e1178a4e34b85db038152d91b3a82620579"
+
+
+def golden_linear_digest():
+    cases = [
+        (GenSpec("graph", 30, 2, 6, 1), 2),
+        (GenSpec("graph", 40, 2, 9, 2), 3),
+        (GenSpec("linear", 36, 3, 4, 3), 2),
+        (GenSpec("linear", 45, 3, 7, 4), 3),
+        (GenSpec("linear", 48, 4, 5, 5), 2),
+        (GenSpec("linear", 60, 4, 12, 6), 4),
+    ]
+    digest = hashlib.sha256()
+    for spec, k in cases:
+        h = generate(spec)
+        digest.update(serialize_colouring(colour_linear(h, k)).encode())
+        digest.update(cli._split_lines(split_hypergraph(h, k)[1]).encode())
+    return digest.hexdigest()
+
+
+def test_colour_linear_golden_digest():
+    assert golden_linear_digest() == GOLDEN_LINEAR_SHA256
+
+
+def test_split_breach_sub_vertex_above_degree_k_plus_1(monkeypatch):
+    # one block per vertex: sub-vertex degree d(u) = 4 in K5, one above k+1
+    monkeypatch.setattr(linearhg, "_deal", lambda incident, k: VertexSplit(0, 1, (incident,)))
+    with pytest.raises(InvariantBreach, match="above degree k\\+1") as exc:
+        split_hypergraph(complete_graph(5), 2)
+    assert exc.value.context == {"max_degree": 4, "k": 2}
+
+
+def test_split_breach_not_linear(monkeypatch):
+    # dealing each vertex's first block twice puts vertex 0's first edge
+    # pair in blocks 0 and 2, so those two edges share two sub-vertices
+    real = linearhg._deal
+
+    def deal_twice(incident, k):
+        split = real(incident, k)
+        return VertexSplit(split.m, split.t + 1, split.blocks + split.blocks[:1])
+
+    monkeypatch.setattr(linearhg, "_deal", deal_twice)
+    h = complete_graph(5)
+    with pytest.raises(InvariantBreach, match="not linear") as exc:
+        split_hypergraph(h, 2)
+    first = real(h.incident_edges(0), 2).blocks[0]
+    assert exc.value.context == {"edges": first[:2], "sub_vertices": (0, 2)}
+
+
+def test_split_breach_edge_size(monkeypatch):
+    # dropping a vertex's last block leaves its edges one member short
+    real = linearhg._deal
+
+    def drop_last(incident, k):
+        split = real(incident, k)
+        return VertexSplit(split.m, split.t - 1, split.blocks[:-1])
+
+    monkeypatch.setattr(linearhg, "_deal", drop_last)
+    with pytest.raises(InvariantBreach, match="size of an edge") as exc:
+        split_hypergraph(FANO, 2)
+    assert exc.value.context == {"edge": 0, "size": 3, "split_size": 0, "dealt": 0}
+

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hypermaj import lll
 from hypermaj.errors import InvariantBreach, PreconditionError
-from hypermaj.genlab import GenSpec, Violation, generate, verify
+from hypermaj.genlab import GenSpec, Violation, brute_force, generate, verify
 from hypermaj.hypercore import Colouring, Hypergraph
 from hypermaj.lll import (
     ResampleRun,
@@ -266,14 +266,35 @@ def test_resample_deterministic():
     assert a == b
 
 
+FANO = Hypergraph(
+    7,
+    [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)],
+)
+
+
 def test_resample_exhausts_on_impossible_instance():
-    # a lone edge gives both endpoints degree 1 < k, so no colouring is
-    # ever valid and the budget must run out
-    h = Hypergraph(2, [(0, 1)])
-    run = resample_colour(h, 2, seed=9, max_rounds=37)
+    # every vertex of the Fano plane has degree 3 >= k, so no vertex is
+    # infeasible on its own, but at k = 2 each vertex needs its 3 edges in
+    # distinct colours and the line graph is K7: no 3-colouring is valid
+    # and the budget must run out
+    assert brute_force(FANO, 2, 3) is None
+    run = resample_colour(FANO, 2, seed=9, max_rounds=37)
     assert run.outcome == "exhausted"
     assert run.rounds_used == 37
     assert run.max_rounds == 37
+
+
+def test_resample_infeasible_fails_fast():
+    # a lone edge gives both endpoints degree 1 < k, so their bound is 0:
+    # the run stops at round 0 with the first draw instead of resampling
+    h = Hypergraph(2, [(0, 1)])
+    run = resample_colour(h, 2, seed=9, max_rounds=37)
+    assert run == ResampleRun(9, 37, 0, "infeasible", random_colouring(h, 2, 9))
+    # the default cap is still reported, and never spent
+    assert resample_colour(h, 2, seed=9).max_rounds == 10_000
+    # degree 0 is not infeasible: an isolated vertex has nothing to violate
+    isolated = Hypergraph(3, [(0, 1)] * 4)
+    assert resample_colour(isolated, 2, seed=1, max_rounds=50).outcome == "success"
 
 
 def test_resample_default_budget():
@@ -303,9 +324,12 @@ def test_resample_rejects_negative_round_cap():
 
 def rescan_resample(h, k, seed, max_rounds):
     """The resampler without incremental bookkeeping: a full bad_vertices
-    rescan of every incidence each round, then the lowest bad id."""
+    rescan of every incidence each round, then the lowest bad id. An
+    instance with a vertex of degree 0 < d < k stops at round 0."""
     rng = random.Random(seed)
     colours = [rng.randint(1, k + 1) for _ in h.edges]
+    if any(0 < h.degree(v) < k for v in range(h.n_vertices)):
+        return ResampleRun(seed, max_rounds, 0, "infeasible", Colouring(colours, k + 1))
     rounds = 0
     while True:
         current = Colouring(colours, k + 1)
@@ -353,17 +377,18 @@ def test_resample_matches_rescan_reference(case):
     assert resample_colour(h, k, seed, max_rounds) == rescan_resample(h, k, seed, max_rounds)
 
 
-# sha256 of golden_resample_digest(), recorded with the rescan resampler
-# (rescan_resample's loop) before the incremental counts replaced it; a
-# change to the round count, outcome or colouring of any run changes it.
-GOLDEN_RESAMPLE_SHA256 = "223703f91b42f03c85d8434539702834b0502a63bd7a038808e0ecbd21ff0cfe"
+# sha256 of golden_resample_digest(), recorded before infeasible inputs
+# failed fast, over the runs the fail-fast leaves alone (every vertex has
+# degree 0 or at least k); the digest of these same runs was first
+# recorded with the rescan resampler (rescan_resample's loop) before the
+# incremental counts replaced it. A change to the round count, outcome or
+# colouring of any run changes it.
+GOLDEN_RESAMPLE_SHA256 = "e7634379608a1989d14f3b10054d57e02515f2d5697270828142e228ad981bda"
 
 
 def golden_resample_runs():
     """Seeded resample_colour runs on generated uniform, regular and graph
-    instances at k = 2, 3, 4, then on a hand-made instance with a repeated
-    edge, an isolated vertex and a vertex of degree 1 < k, which exhausts
-    every cap."""
+    instances at k = 2, 3, 4."""
     cases = [
         (GenSpec("uniform", 10, 2, 12, 3), 2, 400),
         (GenSpec("uniform", 9, 3, 14, 5), 2, 400),
@@ -376,9 +401,6 @@ def golden_resample_runs():
         h = generate(spec)
         for seed in (0, 1, 2):
             yield resample_colour(h, k, seed, max_rounds)
-    lone = Hypergraph(5, [(0, 1), (0, 1), (1, 2), (0, 1, 2), (2, 3)])
-    for seed, max_rounds in ((7, 0), (7, 1), (7, 9), (8, 150)):
-        yield resample_colour(lone, 2, seed, max_rounds)
 
 
 def golden_resample_digest():
@@ -393,3 +415,16 @@ def golden_resample_digest():
 
 def test_resample_golden_digest():
     assert golden_resample_digest() == GOLDEN_RESAMPLE_SHA256
+
+
+def test_resample_infeasible_golden_runs():
+    # The hand-made instance has a repeated edge, an isolated vertex (4)
+    # and a vertex of degree 1 < k (3). These runs used to spend every cap
+    # (0, 1, 9 and 150 rounds) and end "exhausted"; each now stops at
+    # round 0 with its first draw.
+    lone = Hypergraph(5, [(0, 1), (0, 1), (1, 2), (0, 1, 2), (2, 3)])
+    draws = {7: (2, 1, 2, 3, 1), 8: (1, 2, 2, 1, 1)}
+    for seed, max_rounds in ((7, 0), (7, 1), (7, 9), (8, 150)):
+        assert resample_colour(lone, 2, seed, max_rounds) == ResampleRun(
+            seed, max_rounds, 0, "infeasible", Colouring(draws[seed], 3)
+        )
