@@ -68,9 +68,7 @@ from .partition import (
 from .rounder import (
     RoundingTrace,
     TraceStep,
-    kernel_direction,
     round_weights,
-    step_to_boundary,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +99,6 @@ __all__ = [
     "generate",
     "greedy_colour",
     "inequalities_hold",
-    "kernel_direction",
     "line_graph",
     "parse_colouring",
     "parse_hypergraph",
@@ -115,7 +112,6 @@ __all__ = [
     "serialize_weights",
     "split_degrees",
     "split_hypergraph",
-    "step_to_boundary",
     "threshold",
     "threshold_details",
     "verify",

@@ -37,6 +37,14 @@ GEN_MODELS = ("uniform", "linear", "graph", "regular")
 # consecutive rejected samples before gen_linear gives up
 LINEAR_RETRY_BUDGET = 10_000
 
+# Generated instances hold at most this many vertex-edge incidences, the
+# generator counterpart of MAX_VERTICES: GenSpec rejects n * min_degree
+# above it before anything is allocated, and the sampling models, which
+# overshoot n * min_degree, stop once their edges reach it. A 2-uniform
+# regular instance at the bound (n=4, min_degree=2**19) peaks at about
+# 410 MB in `hypermaj generate`.
+MAX_GEN_INCIDENCES = 2**21
+
 
 class Violation(NamedTuple):
     vertex: int
@@ -151,6 +159,11 @@ class GenSpec:
             raise PreconditionError(
                 f"min_degree must be non-negative, got {self.min_degree}"
             )
+        if self.n * self.min_degree > MAX_GEN_INCIDENCES:
+            raise PreconditionError(
+                f"n * min_degree = {self.n * self.min_degree} exceeds the "
+                f"incidence limit of {MAX_GEN_INCIDENCES}"
+            )
 
 
 def generate(spec: GenSpec) -> Hypergraph:
@@ -176,9 +189,12 @@ def gen_uniform(spec: GenSpec) -> Hypergraph:
     edges: list[list[int]] = []
     deg = [0] * spec.n
     below = spec.n if spec.min_degree > 0 else 0  # vertices under min_degree
+    max_edges = MAX_GEN_INCIDENCES // spec.r
     while below:
         e = rng.sample(vertices, spec.r)
         edges.append(e)
+        if len(edges) > max_edges:
+            raise _over_incidence_limit(spec, len(edges))
         for v in e:
             deg[v] += 1
             if deg[v] == spec.min_degree:
@@ -201,6 +217,7 @@ def gen_linear(spec: GenSpec) -> Hypergraph:
     used_pairs: set[tuple[int, int]] = set()
     deg = [0] * spec.n
     below = spec.n if spec.min_degree > 0 else 0  # vertices under min_degree
+    max_edges = MAX_GEN_INCIDENCES // spec.r
     rejects = 0
     while below:
         e = rng.sample(vertices, spec.r)
@@ -216,11 +233,21 @@ def gen_linear(spec: GenSpec) -> Hypergraph:
         rejects = 0
         used_pairs.update(pairs)
         edges.append(e)
+        if len(edges) > max_edges:
+            raise _over_incidence_limit(spec, len(edges))
         for v in e:
             deg[v] += 1
             if deg[v] == spec.min_degree:
                 below -= 1
     return Hypergraph(spec.n, edges)
+
+
+def _over_incidence_limit(spec: GenSpec, m: int) -> GenerationError:
+    return GenerationError(
+        f"{m} edges of size {spec.r} exceed the incidence limit of "
+        f"{MAX_GEN_INCIDENCES} before every vertex reached "
+        f"min_degree={spec.min_degree}; n={spec.n} is too large for model {spec.model!r}"
+    )
 
 
 def gen_graph(spec: GenSpec) -> Hypergraph:

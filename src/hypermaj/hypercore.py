@@ -306,6 +306,8 @@ def parse_colouring(text: str | bytes) -> Colouring:
             palette = int(parts[1])
         except ValueError:
             raise FormatError(no, f"palette size {parts[1]!r} is not an integer") from None
+        if palette < 0:
+            raise FormatError(no, f"palette size {palette} must be non-negative")
         start = 1
     colours = []
     for no, line in lines[start:]:
@@ -317,13 +319,14 @@ def parse_colouring(text: str | bytes) -> Colouring:
             raise FormatError(no, f"invalid colour {line!r}") from None
         if c < 1:
             raise FormatError(no, f"colour {c} must be at least 1")
+        if palette is not None and c > palette:
+            raise FormatError(
+                no, f"colour {c} of edge {len(colours) + 1} outside palette [1, {palette}]"
+            )
         colours.append(c)
     if palette is None:
         palette = max(colours, default=0)
-    try:
-        return Colouring(colours, palette)
-    except ValueError as exc:
-        raise FormatError(lines[start][0] if len(lines) > start else 1, str(exc)) from None
+    return Colouring(colours, palette)
 
 
 def serialize_colouring(c: Colouring) -> str:

@@ -23,9 +23,15 @@ a sparse fraction-free elimination of the integer incidence rows in column
 order, each updated row divided by the gcd of its entries, followed by an
 integer back-substitution. The walk keeps every fractional weight as a
 reduced numerator/denominator pair and steps along the integer kernel
-vector by a step length that is also a pair. Fractions appear only at the
-boundary: the trace's step lengths, the leftovers handed to
-finalize_low_degree and the returned Weighting.
+vector w by a step length t that is also a pair; the leftovers are rounded
+from those pairs. Fractions appear only in the input Weighting, in
+TraceStep.step and in the returned Weighting.
+
+The kernel vector w is unique up to scale: it ends at the first column j
+that depends on the columns before it. TraceStep.step is t*|w[j]|, the
+step length along d = w/|w[j]|: the kernel vector with its first free
+variable set to 1 and later ones to 0, then negated if needed so that its
+first nonzero entry is positive.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 from .errors import InvariantBreach
 from .hypercore import Hypergraph, Weighting
@@ -41,9 +47,6 @@ from .hypercore import Hypergraph, Weighting
 __all__ = [
     "TraceStep",
     "RoundingTrace",
-    "kernel_direction",
-    "step_to_boundary",
-    "finalize_low_degree",
     "round_weights",
 ]
 
@@ -163,39 +166,6 @@ def _back_substitute(
     return [x // g for x in w]
 
 
-def kernel_direction(matrix: Sequence[Sequence]) -> list[Fraction]:
-    """Nonzero rational d with matrix . d = 0, computed deterministically.
-
-    Requires strictly more columns than rows. Convention: eliminate in
-    column order; the first free variable is 1 and all remaining free
-    variables are 0; the result's first nonzero entry is made positive.
-    """
-    n_rows = len(matrix)
-    if n_rows == 0:
-        raise ValueError("kernel_direction requires at least one row")
-    n_cols = len(matrix[0])
-    if any(len(row) != n_cols for row in matrix):
-        raise ValueError("matrix rows must have equal length")
-    if n_cols <= n_rows:
-        raise ValueError(
-            f"kernel_direction requires more columns than rows, got {n_rows}x{n_cols}"
-        )
-    # n_rows+1 columns always hold a dependent one; scaling a row to
-    # integers leaves the kernel unchanged
-    rows_int: dict[int, dict[int, int]] = {}
-    holders: list[set] = [set() for _ in range(n_rows + 1)]
-    for i, row in enumerate(matrix):
-        fracs = [Fraction(x) for x in row[: n_rows + 1]]
-        scale = math.lcm(*(f.denominator for f in fracs))
-        rows_int[i] = {c: int(f * scale) for c, f in enumerate(fracs) if f}
-        for c in rows_int[i]:
-            holders[c].add(i)
-    w, j = _first_dependent(rows_int, holders)
-    d = [Fraction(x, abs(w[j])) for x in w]
-    d.extend(Fraction(0) for _ in range(n_cols - n_rows - 1))
-    return d
-
-
 def _step(
     nums: Sequence[int], dens: Sequence[int], dirs: Sequence[int]
 ) -> tuple[int, int, list[int]]:
@@ -211,8 +181,8 @@ def _step(
     hits: list[int] = []
     for i, (hn, hq, di) in enumerate(zip(nums, dens, dirs)):
         if not 0 < hn < hq:
-            raise ValueError(
-                f"h[{i}] = {Fraction(hn, hq)} is not strictly inside (0, 1)"
+            raise InvariantBreach(
+                "fractional weight not strictly inside (0, 1)", index=i, num=hn, den=hq
             )
         if di > 0:
             num, den = hq - hn, hq * di
@@ -226,44 +196,25 @@ def _step(
         elif num * t_den == t_num * den:
             hits.append(i)
     if not t_den:
-        raise ValueError("direction has no movable component")
+        raise InvariantBreach("kernel vector has no movable component")
     return t_num, t_den, hits
 
 
-def step_to_boundary(
-    h: Sequence[Fraction], d: Sequence[Fraction | int]
-) -> tuple[Fraction, tuple[int, ...]]:
-    """Largest t > 0 with h + t*d inside [0, 1], and the positions that
-    land exactly on 0 or 1 at that t.
-
-    Entries are exact: Fractions or ints. Components with d = 0 never move;
-    every h must be strictly interior. d is scaled to integers by the lcm
-    of its denominators, which scales t by the same factor.
-    """
-    if len(h) != len(d):
-        raise ValueError("h and d must have equal length")
-    scale = math.lcm(*(di.denominator for di in d))
-    t_num, t_den, hits = _step(
-        [hi.numerator for hi in h],
-        [hi.denominator for hi in h],
-        [di.numerator * (scale // di.denominator) for di in d],
-    )
-    return Fraction(t_num * scale, t_den), tuple(hits)
-
-
-def finalize_low_degree(
-    h_graph: Hypergraph, h: Mapping[int, Fraction]
+def _finalize_low_degree(
+    h_graph: Hypergraph, frac: Sequence[int], num: Sequence[int], den: Sequence[int]
 ) -> dict[int, Fraction]:
-    """Round the leftover fractional edges h (edge -> value) to the nearer
-    integer (ties up).
+    """Round the leftover fractional edges frac, edge e of weight
+    num[e]/den[e], to the nearer integer (ties up).
 
     Only legal once every vertex has fractional degree at most rank; the
     at-most-r remaining edges per vertex each move by strictly less than 1,
-    which is what keeps the final discrepancy below r.
+    which is what keeps the final discrepancy below r. The fractional
+    degrees are recounted here from frac, independently of the walk's own
+    bookkeeping.
     """
     r = h_graph.rank()
     frac_deg: dict[int, int] = {}
-    for e in h:
+    for e in frac:
         for v in h_graph.edges[e]:
             frac_deg[v] = frac_deg.get(v, 0) + 1
     for v, fd in frac_deg.items():
@@ -274,24 +225,17 @@ def finalize_low_degree(
                 frac_degree=fd,
                 rank=r,
             )
-    half = Fraction(1, 2)
-    return {e: _ONE if val >= half else _ZERO for e, val in h.items()}
+    return {e: _ONE if 2 * num[e] >= den[e] else _ZERO for e in frac}
 
 
-def round_weights(
-    h_graph: Hypergraph, z: Weighting, *, verify_invariants: bool = False
-) -> tuple[Weighting, RoundingTrace]:
+def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, RoundingTrace]:
     """Round z to a 0/1 weighting x with, at every vertex v,
     sum_z(v) - r < sum_x(v) < sum_z(v) + r (strict, exact rationals).
 
     Entries of z already in {0, 1} are returned unchanged. The trace
     records, per kernel-walk iteration, the constrained-set size, the
-    fractional edge count, the step length along the kernel vector of the
-    kernel_direction convention, and the edges fixed.
-
-    verify_invariants additionally recomputes the conservation and
-    interiority invariants every iteration (intended for tests; it is
-    quadratic in the instance size).
+    fractional edge count, the step length along the kernel vector whose
+    first free variable is 1, and the edges fixed.
     """
     m = len(h_graph.edges)
     if len(z) != m:
@@ -317,19 +261,8 @@ def round_weights(
             frac_deg[v] += 1
     constrained = {v for v in range(h_graph.n_vertices) if frac_deg[v] > r}
 
-    target_sums: dict[int, Fraction] = {}
-    if verify_invariants:
-        target_sums = {
-            v: sum((z[e] for e in h_graph.incident_edges(v)), Fraction(0))
-            for v in constrained
-        }
-
     steps: list[TraceStep] = []
     while constrained:
-        if verify_invariants:
-            _check_conservation(
-                h_graph, x, _fractions(frac, num, den), sorted(constrained), target_sums
-            )
         s = len(constrained)
         if len(frac) <= s:
             raise InvariantBreach(
@@ -369,48 +302,12 @@ def round_weights(
                 a, b = num[e] * tq + tn * we * hq, hq * tq
                 g = gcd(a, b)
                 num[e], den[e] = a // g, b // g
-        # the kernel_direction vector is w / |w[j]|, so its step is t * |w[j]|
+        # the trace's step is along d = w / |w[j]|, whose first free
+        # variable is +-1, so it is t * |w[j]|
         step = Fraction(tn * abs(w[j]), tq)
         steps.append(TraceStep(s, len(frac), step, tuple(fixed_now)))
         frac = [e for e in cols if x[e] is None] + frac[s + 1 :]
 
-    if frac:
-        for e, val in finalize_low_degree(h_graph, _fractions(frac, num, den)).items():
-            x[e] = val
-
-    result = Weighting(x)
-    if verify_invariants:
-        _check_discrepancy(h_graph, z, result, r)
-    return result, RoundingTrace(tuple(steps))
-
-
-def _fractions(frac, num, den):
-    """The fractional edges' weights as {edge: Fraction}."""
-    return {e: Fraction(num[e], den[e]) for e in frac}
-
-
-def _check_conservation(h_graph, x, h, constrained, target_sums):
-    for v in constrained:
-        total = Fraction(0)
-        for e in h_graph.incident_edges(v):
-            total += h[e] if e in h else x[e]
-        if total != target_sums[v]:
-            raise InvariantBreach(
-                "conservation failed at a constrained vertex",
-                vertex=v,
-                observed=total,
-                expected=target_sums[v],
-            )
-    for e, val in h.items():
-        if not 0 < val < 1:
-            raise InvariantBreach("fractional value left (0, 1)", edge=e, value=val)
-
-
-def _check_discrepancy(h_graph, z, x, r):
-    for v in range(h_graph.n_vertices):
-        zs = sum((z[e] for e in h_graph.incident_edges(v)), Fraction(0))
-        xs = sum((x[e] for e in h_graph.incident_edges(v)), Fraction(0))
-        if not (zs - r < xs < zs + r):
-            raise InvariantBreach(
-                "discrepancy bound violated", vertex=v, z_sum=zs, x_sum=xs, rank=r
-            )
+    for e, val in _finalize_low_degree(h_graph, frac, num, den).items():
+        x[e] = val
+    return Weighting(x), RoundingTrace(tuple(steps))

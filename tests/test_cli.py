@@ -7,16 +7,19 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypermaj
-from hypermaj import cli, hypercore, linearhg
+from hypermaj import cli, hypercore, linearhg, rounder
+from hypermaj.errors import InvariantBreach
 from hypermaj.genlab import GenSpec, generate, verify
 from hypermaj.hypercore import (
     Hypergraph,
+    Weighting,
     parse_colouring,
     parse_hypergraph,
     parse_weights,
@@ -130,6 +133,28 @@ def test_colour_linear_internal_breach_exit_3(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_round_internal_breach_exit_3(tmp_path, monkeypatch, capsys):
+    # a kernel solver that returns the zero vector is a fault in the walk:
+    # round_weights reports it as a breach, and the CLI as exit 3
+    monkeypatch.setattr(
+        rounder, "_first_dependent", lambda rows, holders: ([0] * len(holders), 0)
+    )
+    h = Hypergraph(4, [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(InvariantBreach):
+        rounder.round_weights(h, Weighting([Fraction(2, 3)] * 3))
+    hgr = tmp_path / "in.hgr"
+    win = tmp_path / "w.txt"
+    out = tmp_path / "x.txt"
+    hgr.write_text("3 4\n1 2\n1 3\n1 4\n")
+    win.write_text("2/3\n2/3\n2/3\n")
+    code = cli.main(["round", str(hgr), str(win), "-o", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "internal error" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_generate_rejects_empty_sizes_exit_2(tmp_path):
     for n, r, name in (("0", "2", "n"), ("6", "0", "r")):
         res = run_cli(
@@ -154,6 +179,22 @@ def test_vertex_count_over_limit_exit_2_before_allocating(tmp_path, monkeypatch,
             "--min-degree", "1", "-o", str(tmp_path / "g.hgr")]
     assert cli.main(argv) == 2
     assert "n=10000000000 exceeds the vertex limit" in capsys.readouterr().err
+    assert not (tmp_path / "g.hgr").exists()
+
+
+def test_min_degree_over_incidence_limit_exit_2_before_allocating(
+    tmp_path, monkeypatch, capsys
+):
+    def no_build(*args):
+        raise AssertionError("instance built for an over-limit degree")
+
+    monkeypatch.setattr(hypercore, "Hypergraph", no_build)
+    monkeypatch.setattr(cli, "generate", no_build)
+    argv = ["generate", "--model", "regular", "--n", "4", "--r", "2",
+            "--min-degree", "1000000000", "-o", str(tmp_path / "g.hgr")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "n * min_degree = 4000000000 exceeds the incidence limit" in err
     assert not (tmp_path / "g.hgr").exists()
 
 

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from hypermaj import genlab
 from hypermaj.errors import GenerationError, PreconditionError
 from hypermaj.genlab import (
+    MAX_GEN_INCIDENCES,
     GenSpec,
     Violation,
     brute_force,
@@ -138,6 +140,25 @@ def test_genspec_rejects_vertex_count_over_limit():
     for n in (MAX_VERTICES + 1, 10**10):
         with pytest.raises(PreconditionError, match=f"n={n} exceeds the vertex limit"):
             GenSpec(model="uniform", n=n, r=2, min_degree=1, seed=0)
+
+
+def test_genspec_rejects_incidences_over_limit():
+    GenSpec(model="regular", n=4, r=2, min_degree=MAX_GEN_INCIDENCES // 4, seed=0)
+    GenSpec(model="uniform", n=MAX_VERTICES, r=2, min_degree=0, seed=0)
+    for n, d in ((4, MAX_GEN_INCIDENCES // 4 + 1), (4, 10**9), (MAX_GEN_INCIDENCES, 2)):
+        with pytest.raises(PreconditionError, match="exceeds the incidence limit"):
+            GenSpec(model="regular", n=n, r=2, min_degree=d, seed=0)
+
+
+@pytest.mark.parametrize("model", ["uniform", "linear"])
+def test_sampling_models_stop_at_incidence_limit(model, monkeypatch):
+    # 40 vertices at min degree 1 take about 40 ln 40 / 2 = 74 sampled
+    # pairs, past a limit of 64 incidences that n * min_degree = 40 obeys
+    monkeypatch.setattr(genlab, "MAX_GEN_INCIDENCES", 64)
+    with pytest.raises(GenerationError, match="exceed the incidence limit of 64"):
+        generate(GenSpec(model, 40, 2, 1, 1))
+    h = generate(GenSpec(model, 8, 2, 1, 1))
+    assert len(h.edges) * 2 <= 64
 
 
 # sha256 of serialize_hypergraph(generate(spec)), recorded with the

@@ -199,6 +199,22 @@ def test_parse_colouring_bad_entry():
         parse_colouring("# palette 2\n3\n")
 
 
+def test_parse_colouring_reports_the_offending_line():
+    # line numbers count the header, edges count from 1
+    cases = [
+        ("# palette 3\n1\n2\n5\n", 4, "colour 5 of edge 3 outside palette [1, 3]"),
+        ("# palette 2\n3\n", 2, "colour 3 of edge 1 outside palette [1, 2]"),
+        ("# palette 0\n1\n", 2, "colour 1 of edge 1 outside palette [1, 0]"),
+        ("# palette -1\n", 1, "palette size -1 must be non-negative"),
+        ("# palette -2\n1\n", 1, "palette size -2 must be non-negative"),
+    ]
+    for text, line, message in cases:
+        with pytest.raises(FormatError) as exc:
+            parse_colouring(text)
+        assert (exc.value.line, exc.value.message) == (line, message)
+    assert parse_colouring("# palette 0\n") == Colouring([], 0)
+
+
 def test_weighting_validation():
     w = Weighting([Fraction(1, 3), 0, 1])
     assert w.weights == (Fraction(1, 3), Fraction(0), Fraction(1))

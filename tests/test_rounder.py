@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,13 +15,32 @@ from hypermaj.partition import alpha_schedule
 from hypermaj.rounder import (
     RoundingTrace,
     TraceStep,
-    finalize_low_degree,
-    kernel_direction,
+    _finalize_low_degree,
+    _first_dependent,
+    _step,
     round_weights,
-    step_to_boundary,
 )
 
 F = Fraction
+
+
+def kernel_direction(matrix):
+    """The library's kernel vector of a dense rational matrix with more
+    columns than rows, as round_weights' trace steps along it: the first
+    n_rows+1 columns, each row scaled to integers (which leaves the kernel
+    unchanged), go through _first_dependent, and its w is returned as
+    w/|w[j]|, padded with zeros to the full width."""
+    n_rows, n_cols = len(matrix), len(matrix[0])
+    rows = {}
+    holders = [set() for _ in range(n_rows + 1)]
+    for i, row in enumerate(matrix):
+        fracs = [F(x) for x in row[: n_rows + 1]]
+        scale = math.lcm(*(f.denominator for f in fracs))
+        rows[i] = {c: int(f * scale) for c, f in enumerate(fracs) if f}
+        for c in rows[i]:
+            holders[c].add(i)
+    w, j = _first_dependent(rows, holders)
+    return [F(x, abs(w[j])) for x in w] + [F(0)] * (n_cols - n_rows - 1)
 
 
 def reference_kernel(matrix):
@@ -71,8 +91,13 @@ def reference_round_weights(h, z):
     """The kernel walk in Fractions, as round_weights ran before it kept
     integer pairs: the window of the first s+1 fractional edges over the s
     constrained vertices is solved densely by reference_kernel, and every
-    step length and weight is a Fraction. Used as an oracle."""
+    step length and weight is a Fraction. Used as an oracle.
+
+    After every step it asserts the walk's invariants: each vertex
+    constrained in that step keeps its incident sum of z, and every weight
+    still fractional stays strictly inside (0, 1)."""
     r = h.rank()
+    target = incidence_sums(h, z)
     x = {e: w for e, w in enumerate(z.weights) if w.denominator == 1}
     hv = {e: w for e, w in enumerate(z.weights) if w.denominator != 1}
     steps = []
@@ -101,6 +126,10 @@ def reference_round_weights(h, z):
                 fixed.append(e)
             else:
                 hv[e] = val
+        for v in constrained:
+            total = sum((hv.get(e, x.get(e)) for e in h.incident_edges(v)), F(0))
+            assert total == target[v]
+        assert all(0 < val < 1 for val in hv.values())
         steps.append(TraceStep(s, len(frac), t, tuple(fixed)))
     for e, val in hv.items():
         x[e] = F(1) if val >= F(1, 2) else F(0)
@@ -211,51 +240,44 @@ def test_kernel_big_entries_stay_exact():
     assert kernel_direction(mat2) == reference_kernel(mat2)
 
 
-def test_kernel_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        kernel_direction([])
-    with pytest.raises(ValueError):
-        kernel_direction([[1, 2], [3, 4]])
-    with pytest.raises(ValueError):
-        kernel_direction([[1, 2], [3]])
-
-
 def test_step_to_boundary_worked_examples():
-    t, hits = step_to_boundary([F(2, 3)] * 3, [F(1), F(-1), F(0)])
-    assert t == F(1, 3)
-    assert hits == (0,)
-    t, hits = step_to_boundary([F(1, 2)], [F(1)])
-    assert (t, hits) == (F(1, 2), (0,))
-    t, hits = step_to_boundary([F(1, 4), F(3, 4)], [F(1), F(1)])
-    assert (t, hits) == (F(1, 4), (1,))
-    # rational directions, which the integer step sees scaled by the lcm
-    # of their denominators
-    t, hits = step_to_boundary([F(1, 4), F(1, 2)], [F(3, 2), F(-1, 4)])
-    assert (t, hits) == (F(1, 2), (0,))
-    t, hits = step_to_boundary([F(1, 2), F(1, 3), F(2, 5)], [F(1, 2), F(-1, 3), 0])
-    assert (t, hits) == (F(1), (0, 1))
+    # _step(nums, dens, dirs) steps h[i] = nums[i]/dens[i] along the integer
+    # direction dirs; the step length comes back as an unreduced pair
+    tn, tq, hits = _step([2, 2, 2], [3, 3, 3], [1, -1, 0])
+    assert (F(tn, tq), hits) == (F(1, 3), [0])
+    tn, tq, hits = _step([1], [2], [1])
+    assert (F(tn, tq), hits) == (F(1, 2), [0])
+    tn, tq, hits = _step([1, 3], [4, 4], [1, 1])
+    assert (F(tn, tq), hits) == (F(1, 4), [1])
+    tn, tq, hits = _step([1, 1], [4, 2], [6, -1])
+    assert (F(tn, tq), hits) == (F(1, 8), [0])
+    tn, tq, hits = _step([1, 1, 2], [2, 3, 5], [3, -2, 0])
+    assert (F(tn, tq), hits) == (F(1, 6), [0, 1])
+    # a large direction entry shrinks the step exactly
+    tn, tq, hits = _step([1, 999], [1000, 1000], [2**40, -1])
+    assert (F(tn, tq), hits) == (F(999, 1000 * 2**40), [0])
 
 
 def test_step_to_boundary_simultaneous_hits():
-    t, hits = step_to_boundary([F(1, 2), F(1, 2)], [F(1), F(-1)])
-    assert t == F(1, 2)
-    assert hits == (0, 1)
+    tn, tq, hits = _step([1, 1], [2, 2], [1, -1])
+    assert F(tn, tq) == F(1, 2)
+    assert hits == [0, 1]
 
 
 def test_step_to_boundary_errors():
-    with pytest.raises(ValueError):
-        step_to_boundary([F(0)], [F(1)])
-    with pytest.raises(ValueError):
-        step_to_boundary([F(1, 2)], [F(0)])
-    with pytest.raises(ValueError):
-        step_to_boundary([F(1, 2)], [F(1), F(1)])
+    # only a fault in the walk can reach these: it hands _step interior
+    # weights and a nonzero kernel vector
+    with pytest.raises(InvariantBreach):
+        _step([0], [1], [1])
+    with pytest.raises(InvariantBreach):
+        _step([1], [2], [0])
 
 
 def test_round_star_system():
     # one constrained vertex over three fractional edges: the system is
     # [[1, 1, 1]] with kernel (1, -1, 0)
     h = Hypergraph(4, [(0, 1), (0, 2), (0, 3)])
-    x, trace = round_weights(h, Weighting([F(2, 3)] * 3), verify_invariants=True)
+    x, trace = round_weights(h, Weighting([F(2, 3)] * 3))
     assert trace.iterations == (TraceStep(1, 3, F(1, 3), (0,)),)
     assert x.weights == (F(1), F(0), F(1))
 
@@ -265,7 +287,7 @@ def test_round_block_diagonal_system():
     # window [[1, 1, 1], [0, 0, 0]] has an empty row, the second an empty
     # column, whose unit vector is the kernel
     h = Hypergraph(8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)])
-    x, trace = round_weights(h, Weighting([F(1, 2)] * 6), verify_invariants=True)
+    x, trace = round_weights(h, Weighting([F(1, 2)] * 6))
     assert trace.iterations == (
         TraceStep(2, 6, F(1, 2), (0, 1)),
         TraceStep(1, 4, F(1, 2), (2,)),
@@ -275,22 +297,25 @@ def test_round_block_diagonal_system():
 
 
 def test_finalize_threshold_rule():
-    h = Hypergraph(2, [(0, 1)])
-    assert finalize_low_degree(h, {0: F(1, 3)}) == {0: F(0)}
-    assert finalize_low_degree(h, {0: F(1, 2)}) == {0: F(1)}
-    assert finalize_low_degree(h, {}) == {}
+    # edge e of weight num[e]/den[e] rounds up exactly when 2*num >= den
+    h = Hypergraph(3, [(0, 1), (1, 2)])
+    assert _finalize_low_degree(h, [0], [1, 0], [3, 1]) == {0: F(0)}
+    assert _finalize_low_degree(h, [0], [1, 0], [2, 1]) == {0: F(1)}
+    assert _finalize_low_degree(h, [0, 1], [499, 501], [1000, 1000]) == {0: F(0), 1: F(1)}
+    assert _finalize_low_degree(h, [1], [0, 2], [1, 3]) == {1: F(1)}
+    assert _finalize_low_degree(h, [], [0, 0], [1, 1]) == {}
 
 
 def test_finalize_rejects_constrained_leftovers():
     h = Hypergraph(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(InvariantBreach):
-        finalize_low_degree(h, {e: F(1, 3) for e in range(3)})
+        _finalize_low_degree(h, [0, 1, 2], [1, 1, 1], [3, 3, 3])
 
 
 def test_round_integral_input_is_identity():
     h = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
     z = Weighting([1, 0, 1])
-    x, trace = round_weights(h, z, verify_invariants=True)
+    x, trace = round_weights(h, z)
     assert x.weights == (F(1), F(0), F(1))
     assert trace.iterations == ()
 
@@ -304,20 +329,20 @@ def test_round_star_lands_in_feasible_set():
         if within_rank_band(h, z, Weighting(list(bits)))
     }
     assert feasible == set(itertools.product((0, 1), repeat=3)) - {(0, 0, 0)}
-    x, _ = round_weights(h, z, verify_invariants=True)
+    x, _ = round_weights(h, z)
     assert tuple(int(w) for w in x.weights) in feasible
 
 
 def test_round_single_edge_tie_goes_up():
     h = Hypergraph(3, [(0, 1, 2)])
-    x, _ = round_weights(h, Weighting([F(1, 2)]), verify_invariants=True)
+    x, _ = round_weights(h, Weighting([F(1, 2)]))
     assert x.weights == (F(1),)
 
 
 def test_round_integral_entries_pass_through():
     h = Hypergraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     z = Weighting([F(1), F(1, 3), F(0), F(2, 3), F(1, 2)])
-    x, _ = round_weights(h, z, verify_invariants=True)
+    x, _ = round_weights(h, z)
     assert x[0] == 1
     assert x[2] == 0
 
@@ -332,7 +357,7 @@ def test_round_parallel_singletons():
     # rank 1: two copies of a singleton edge, half each; the sum at the
     # vertex must stay strictly within 1 of the original total of 1
     h = Hypergraph(1, [(0,), (0,)])
-    x, _ = round_weights(h, Weighting([F(1, 2), F(1, 2)]), verify_invariants=True)
+    x, _ = round_weights(h, Weighting([F(1, 2), F(1, 2)]))
     assert sum(x.weights) == 1
 
 
@@ -341,12 +366,14 @@ def test_round_random_instances_keep_invariants():
     for _ in range(120):
         h = random_instance(rng)
         z = random_weights(rng, len(h.edges))
-        x, trace = round_weights(h, z, verify_invariants=True)
+        x, trace = round_weights(h, z)
         assert all(w in (0, 1) for w in x.weights)
         assert within_rank_band(h, z, x)
         for e in range(len(h.edges)):
             if z[e] in (0, 1):
                 assert x[e] == z[e]
+        # the reference walk asserts conservation and interiority per step
+        assert (x, trace) == reference_round_weights(h, z)
 
 
 @st.composite
@@ -400,12 +427,10 @@ def walk_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(walk_cases(), st.booleans())
-def test_round_matches_fraction_reference_property(case, verify_invariants):
+@given(walk_cases())
+def test_round_matches_fraction_reference_property(case):
     h, z = case
-    assert round_weights(h, z, verify_invariants=verify_invariants) == (
-        reference_round_weights(h, z)
-    )
+    assert round_weights(h, z) == reference_round_weights(h, z)
 
 
 def test_round_trace_progress():
