@@ -43,24 +43,20 @@ from .hypercore import (
 )
 from .linearhg import (
     LineGraph,
-    SplitMap,
     colour_linear,
     greedy_colour,
     line_graph,
-    split_degrees,
     split_hypergraph,
 )
 from .lll import (
     ResampleRun,
     bad_vertices,
     inequalities_hold,
-    random_colouring,
     resample_colour,
     threshold,
     threshold_details,
 )
 from .partition import (
-    alpha,
     alpha_schedule,
     colour_partition,
     partition_rounds,
@@ -84,12 +80,10 @@ __all__ = [
     "PreconditionError",
     "ResampleRun",
     "RoundingTrace",
-    "SplitMap",
     "TraceStep",
     "VerifyReport",
     "Violation",
     "Weighting",
-    "alpha",
     "alpha_schedule",
     "bad_vertices",
     "brute_force",
@@ -104,13 +98,11 @@ __all__ = [
     "parse_hypergraph",
     "parse_weights",
     "partition_rounds",
-    "random_colouring",
     "resample_colour",
     "round_weights",
     "serialize_colouring",
     "serialize_hypergraph",
     "serialize_weights",
-    "split_degrees",
     "split_hypergraph",
     "threshold",
     "threshold_details",

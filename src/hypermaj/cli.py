@@ -24,7 +24,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import FormatError, GenerationError, InvariantBreach, PreconditionError
@@ -134,9 +133,9 @@ def _emit_violations(rep: Reporter, report) -> None:
         )
 
 
-def _split_lines(smap) -> str:
+def _split_lines(splits) -> str:
     lines = []
-    for u, split in enumerate(smap.splits):
+    for u, split in enumerate(splits):
         blocks = "; ".join(
             ",".join(str(e + 1) for e in block) for block in split.blocks
         )
@@ -160,21 +159,18 @@ def _cmd_colour(args, rep: Reporter) -> int:
                 rows.append(("round", row, text))
     elif args.algorithm == "linear":
         if args.emit_split:
-            _, smap = split_hypergraph(h_graph, k)
-            _atomic_write(args.emit_split, _split_lines(smap))
+            _, splits = split_hypergraph(h_graph, k)
+            _atomic_write(args.emit_split, _split_lines(splits))
         colouring = colour_linear(h_graph, k)
     else:  # random-lll
-        seeds = range(args.seed, args.seed + args.trials)
-        # at most one thread per core: the trials hold the GIL
-        workers = max(1, min(args.jobs, args.trials, os.cpu_count() or 1))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(
-                pool.map(lambda s: resample_colour(h_graph, k, s, args.max_rounds), seeds)
-            )
-        winner = next((r for r in runs if r.outcome == "success"), None)
-        failed = winner is None
-        colouring = (winner or runs[0]).colouring
-        for run in runs:
+        # only the colouring to print (first success, else the first
+        # trial's) and one row per trial outlive a trial
+        colouring = None
+        for seed in range(args.seed, args.seed + args.trials):
+            run = resample_colour(h_graph, k, seed, args.max_rounds)
+            if colouring is None or (failed and run.outcome == "success"):
+                failed = run.outcome != "success"
+                colouring = run.colouring
             row = {"seed": run.seed, "outcome": run.outcome, "rounds": run.rounds_used}
             rows.append(("trial", row, None))
 
@@ -200,12 +196,6 @@ def _cmd_verify(args, rep: Reporter) -> int:
     t0 = time.perf_counter()
     h_graph = parse_hypergraph(_read(args.input))
     colouring = parse_colouring(_read(args.colours))
-    if len(colouring) != len(h_graph.edges):
-        raise FormatError(
-            0,
-            f"colouring has {len(colouring)} entries for "
-            f"{len(h_graph.edges)} edges",
-        )
     report = verify(h_graph, args.k, colouring)
     _summary(
         rep, sys.stdout, "verify", args.k, colouring.palette_size, report.valid, t0
@@ -331,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="concurrent trials, at most one per core (random-lll only)",
+        help="ignored: trials run one after another (random-lll only)",
     )
     p_colour.set_defaults(func=_cmd_colour)
 
@@ -393,9 +383,8 @@ def _check_flag_scope(parser, args) -> None:
                 parser.error(f"{name} only applies to --algorithm random-lll")
     if args.k < 2:
         parser.error(f"--k must be at least 2, got {args.k}")
-    for flag, default in (("seed", DEFAULT_SEED), ("trials", 1), ("jobs", 1)):
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
+    args.seed = DEFAULT_SEED if args.seed is None else args.seed
+    args.trials = 1 if args.trials is None else args.trials
     if args.trials < 1:
         parser.error("--trials must be at least 1")
     if args.max_rounds is not None and args.max_rounds < 0:

@@ -45,6 +45,11 @@ LINEAR_RETRY_BUDGET = 10_000
 # 410 MB in `hypermaj generate`.
 MAX_GEN_INCIDENCES = 2**21
 
+# gen_linear stores the r(r-1)/2 vertex pairs of each accepted edge, more
+# than its r incidences from r = 4 on, and stops before they would pass
+# this bound.
+MAX_GEN_PAIRS = 2**21
+
 
 class Violation(NamedTuple):
     vertex: int
@@ -64,7 +69,7 @@ def verify(h: Hypergraph, k: int, colouring: Colouring) -> VerifyReport:
     if k < 2:
         raise PreconditionError(f"k must be at least 2, got {k}")
     if len(colouring) != len(h.edges):
-        raise ValueError(
+        raise PreconditionError(
             f"colouring has {len(colouring)} entries for {len(h.edges)} edges"
         )
     counts: list[dict[int, int]] = [dict() for _ in range(h.n_vertices)]
@@ -103,20 +108,19 @@ def brute_force(h: Hypergraph, k: int, palette: int) -> Optional[Colouring]:
         raise PreconditionError(
             f"search space {choices}^{m} exceeds the {BRUTE_FORCE_LIMIT} guard"
         )
-    bounds = [h.degree(v) // k for v in range(h.n_vertices)]
-    counts = [[0] * (palette + 1) for _ in range(h.n_vertices)]
+    # In the lexicographically first valid colouring no edge's colour
+    # exceeds one more than the colours used before it (swapping two unused
+    # labels would give a smaller one), so colours above m are never tried.
+    top = min(palette, m)
+    bounds = [d // k for d in h.degrees()]
+    counts = [[0] * (top + 1) if d else () for d in h.degrees()]
     chosen = [0] * m
 
     def search(e: int) -> bool:
         if e == m:
             return True
-        for c in range(1, palette + 1):
-            ok = True
-            for v in h.edges[e]:
-                if counts[v][c] + 1 > bounds[v]:
-                    ok = False
-                    break
-            if not ok:
+        for c in range(1, top + 1):
+            if any(counts[v][c] >= bounds[v] for v in h.edges[e]):
                 continue
             for v in h.edges[e]:
                 counts[v][c] += 1
@@ -206,11 +210,19 @@ def gen_linear(spec: GenSpec) -> Hypergraph:
     """Greedy linear instance: sampled r-subsets kept only when no two
     accepted edges would share a vertex pair.
 
-    Aborts with GenerationError once LINEAR_RETRY_BUDGET consecutive samples
-    are rejected, which signals an infeasible n/r/min_degree combination.
+    Rejects up front an n below the 1 + min_degree * (r - 1) vertices that
+    the edges at one vertex span, as they meet only there. Aborts with
+    GenerationError once LINEAR_RETRY_BUDGET consecutive samples are
+    rejected, which signals an infeasible n/r/min_degree combination.
     """
     if spec.r > spec.n:
         raise PreconditionError(f"r={spec.r} exceeds n={spec.n}")
+    span = 1 + spec.min_degree * (spec.r - 1)
+    if spec.min_degree and span > spec.n:
+        raise PreconditionError(
+            f"a linear {spec.r}-uniform instance at min_degree={spec.min_degree} "
+            f"needs at least {span} vertices, got n={spec.n}"
+        )
     rng = random.Random(spec.seed)
     vertices = list(range(spec.n))
     edges: list[list[int]] = []
@@ -218,11 +230,20 @@ def gen_linear(spec: GenSpec) -> Hypergraph:
     deg = [0] * spec.n
     below = spec.n if spec.min_degree > 0 else 0  # vertices under min_degree
     max_edges = MAX_GEN_INCIDENCES // spec.r
+    per_edge = spec.r * (spec.r - 1) // 2  # pairs an accepted edge adds
     rejects = 0
     while below:
+        # checked before sampling: the first edge alone may pass the bound
+        if len(used_pairs) + per_edge > MAX_GEN_PAIRS:
+            raise GenerationError(
+                f"{len(used_pairs) + per_edge} vertex pairs of edges of size {spec.r} "
+                f"exceed the pair limit of {MAX_GEN_PAIRS} before every vertex "
+                f"reached min_degree={spec.min_degree}"
+            )
         e = rng.sample(vertices, spec.r)
-        pairs = list(itertools.combinations(sorted(e), 2))
-        if any(p in used_pairs for p in pairs):
+        members = sorted(e)
+        # any() stops at the first used pair, so a rejection is cheap
+        if any(p in used_pairs for p in itertools.combinations(members, 2)):
             rejects += 1
             if rejects > LINEAR_RETRY_BUDGET:
                 raise GenerationError(
@@ -231,7 +252,7 @@ def gen_linear(spec: GenSpec) -> Hypergraph:
                 )
             continue
         rejects = 0
-        used_pairs.update(pairs)
+        used_pairs.update(itertools.combinations(members, 2))
         edges.append(e)
         if len(edges) > max_edges:
             raise _over_incidence_limit(spec, len(edges))

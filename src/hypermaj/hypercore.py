@@ -149,7 +149,8 @@ class Hypergraph:
         return max((len(e) for e in self.edges), default=0)
 
     def linearity_witness(self) -> Optional[tuple[int, int]]:
-        """First pair of edge indices sharing two or more vertices, if any.
+        """First pair of edge indices sharing two or more vertices, or
+        None when the hypergraph is linear.
 
         Two edges share >= 2 vertices exactly when they share a vertex pair,
         so one pass over the pairs inside each edge suffices.
@@ -161,10 +162,6 @@ class Hypergraph:
                     return (seen[pair], e)
                 seen[pair] = e
         return None
-
-    def is_linear(self) -> bool:
-        """True iff every two edges intersect in at most one vertex."""
-        return self.linearity_witness() is None
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n_vertices:

@@ -36,9 +36,7 @@ from .hypercore import Colouring, Hypergraph
 
 __all__ = [
     "VertexSplit",
-    "SplitMap",
     "LineGraph",
-    "split_degrees",
     "split_hypergraph",
     "line_graph",
     "greedy_colour",
@@ -58,15 +56,6 @@ class VertexSplit:
 
 
 @dataclass(frozen=True)
-class SplitMap:
-    """Per-vertex splits; sub-vertices are numbered vertex by vertex, so
-    sub-vertex j of u has global id j plus the t of all vertices before
-    u."""
-
-    splits: tuple[VertexSplit, ...]
-
-
-@dataclass(frozen=True)
 class LineGraph:
     """Nodes are hyperedge ids; two nodes are adjacent when their
     hyperedges share at least one vertex."""
@@ -78,32 +67,29 @@ class LineGraph:
         return max((len(nb) for nb in self.neighbours), default=0)
 
 
-def split_degrees(d: int, k: int) -> tuple[int, int]:
-    """(m, t) with d = m + t*k, 0 <= m < k, i.e. m = d mod k and
-    t = floor(d/k). Requires d >= k^2 - k so that t >= m."""
-    if k < 2:
-        raise PreconditionError(f"k must be at least 2, got {k}")
-    if d < k * k - k:
-        raise PreconditionError(
-            f"degree {d} below k^2 - k = {k * k - k} for k = {k}"
-        )
-    return d % k, d // k
-
-
 def _deal(incident: tuple[int, ...], k: int) -> VertexSplit:
     """Deal a vertex's ascending incident edge ids into blocks: the
-    first m blocks take k+1 edges, the remaining t - m take k."""
-    m, t = split_degrees(len(incident), k)
+    first m = d mod k blocks take k+1 edges, the remaining t - m take k,
+    where t = floor(d/k) for degree d; t >= m needs d >= k^2 - k."""
+    t, m = divmod(len(incident), k)
     cut = m * (k + 1)
     blocks = [incident[i : i + k + 1] for i in range(0, cut, k + 1)]
     blocks += [incident[i : i + k] for i in range(cut, len(incident), k)]
     return VertexSplit(m, t, tuple(blocks))
 
 
-def split_hypergraph(h_graph: Hypergraph, k: int) -> tuple[Hypergraph, SplitMap]:
+def split_hypergraph(
+    h_graph: Hypergraph, k: int
+) -> tuple[Hypergraph, tuple[VertexSplit, ...]]:
     """Replace each vertex by its sub-vertices; every edge keeps its id
     and size, with each endpoint swapped for the sub-vertex it was dealt
-    to. The result has max degree at most k+1 and is again linear."""
+    to. The result has max degree at most k+1 and is again linear.
+
+    Returns H* and one VertexSplit per vertex. Sub-vertices are numbered
+    vertex by vertex, so sub-vertex j of u has global id j plus the t of
+    all vertices before u."""
+    if k < 2:
+        raise PreconditionError(f"k must be at least 2, got {k}")
     witness = h_graph.linearity_witness()
     if witness is not None:
         raise PreconditionError(
@@ -151,7 +137,7 @@ def split_hypergraph(h_graph: Hypergraph, k: int) -> tuple[Hypergraph, SplitMap]
                 dealt=len(ms),
             )
     h_star = Hypergraph._trusted(len(blocks), new_edges, blocks)
-    return h_star, SplitMap(tuple(splits))
+    return h_star, tuple(splits)
 
 
 def line_graph(h_star: Hypergraph) -> LineGraph:

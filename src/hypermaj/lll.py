@@ -54,7 +54,6 @@ __all__ = [
     "inequalities_hold",
     "threshold",
     "threshold_details",
-    "random_colouring",
     "bad_vertices",
     "resample_colour",
 ]
@@ -107,11 +106,7 @@ def inequalities_hold(k: int, r: int, delta: int) -> bool:
 
 def threshold(k: int, r: int) -> int:
     """Least delta* such that the inequalities hold at every
-    delta >= delta*."""
-    if k < 2:
-        raise PreconditionError(f"k must be at least 2, got {k}")
-    if r < 2:
-        raise PreconditionError(f"r must be at least 2, got {r}")
+    delta >= delta*. k and r are checked by the first inequalities_hold."""
     stationary = 3 * k * k * (k + 1)
     # The second inequality cannot hold at its own maximum, so the search
     # below runs entirely in the decreasing regime, where the predicate
@@ -142,17 +137,6 @@ def threshold_details(k: int, r: int) -> tuple[int, float, float]:
     delta = threshold(k, r)
     lhs1, lhs2 = _lhs_values(k, r, delta)
     return delta, float(lhs1), float(lhs2)
-
-
-def random_colouring(h_graph: Hypergraph, k: int, seed: int) -> Colouring:
-    """Each edge's colour drawn uniformly from {1..k+1}, in edge order,
-    from a generator seeded with `seed`."""
-    if k < 2:
-        raise PreconditionError(f"k must be at least 2, got {k}")
-    rng = random.Random(seed)
-    return Colouring(
-        [rng.randint(1, k + 1) for _ in h_graph.edges], k + 1
-    )
 
 
 def bad_vertices(h_graph: Hypergraph, colouring: Colouring, k: int) -> set[int]:
@@ -186,12 +170,14 @@ def resample_colour(
         raise PreconditionError(f"max_rounds must be non-negative, got {max_rounds}")
     rng = random.Random(seed)
     colours = [rng.randint(1, k + 1) for _ in edges]
-    if any(0 < d < k for d in h_graph.degrees()):
+    degrees = h_graph.degrees()
+    if any(0 < d < k for d in degrees):
         return ResampleRun(seed, max_rounds, 0, "infeasible", Colouring(colours, k + 1))
-    bounds = [d // k for d in h_graph.degrees()]
+    bounds = [d // k for d in degrees]
     # counts[v][c]: edges of colour c at v; over[v]: colours whose count
-    # exceeds v's bound, so v is bad exactly when over[v] > 0.
-    counts = [[0] * (k + 2) for _ in bounds]
+    # exceeds v's bound, so v is bad exactly when over[v] > 0. Only vertices
+    # with edges, each of degree >= k by now, get a table: O(sum d) in all.
+    counts = [[0] * (k + 2) if d else () for d in degrees]
     for c, fs in zip(colours, edges):
         for v in fs:
             counts[v][c] += 1

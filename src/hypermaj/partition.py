@@ -30,7 +30,6 @@ from .hypercore import Colouring, Hypergraph, Weighting
 from .rounder import round_weights
 
 __all__ = [
-    "alpha",
     "alpha_schedule",
     "check_class_bounds",
     "partition_rounds",
@@ -38,30 +37,22 @@ __all__ = [
 ]
 
 
-def alpha(i: int, delta: int, k: int, r: int) -> Fraction:
-    """Weight used in round i:
+def alpha_schedule(delta: int, k: int, r: int) -> tuple[Fraction, ...]:
+    """All k round weights, exact rationals; round i uses
 
         alpha_i = (delta/k - r) / (delta - (i-1) * (delta/k - 2r))
 
-    Requires 1 <= i <= k and delta >= 2 * r * k^2, which makes the value
-    land strictly inside (0, 1).
+    Requires delta >= 2 * r * k^2, which makes every value land strictly
+    inside (0, 1).
     """
-    if not 1 <= i <= k:
-        raise PreconditionError(f"round index {i} outside 1..{k}")
     if delta < 2 * r * k * k:
         raise PreconditionError(
-            f"min degree {delta} below the required 2*r*k^2 = {2 * r * k * k}"
-            f" (r={r}, k={k})"
+            f"min degree {delta} with rank {r} and k {k} requires at least {2 * r * k * k}"
         )
     num = Fraction(delta, k) - r
-    den = delta - (i - 1) * (Fraction(delta, k) - 2 * r)
-    return num / den
-
-
-def alpha_schedule(delta: int, k: int, r: int) -> tuple[Fraction, ...]:
-    """All k round weights, exact rationals strictly inside (0, 1)."""
+    step = Fraction(delta, k) - 2 * r
     # from a list, not a generator (see Hypergraph._index)
-    alphas = tuple([alpha(i, delta, k, r) for i in range(1, k + 1)])
+    alphas = tuple([num / (delta - (i - 1) * step) for i in range(1, k + 1)])
     for i, a in enumerate(alphas, start=1):
         if not 0 < a < 1:
             raise InvariantBreach(
@@ -127,8 +118,9 @@ def partition_rounds(
 
     Colour i (1 <= i <= k) is the class extracted in round i with weight
     alphas[i-1]; colour k+1 is the residual class. Raises a precondition
-    error when k < 2 or the minimum degree is below 2 * rank * k^2; the
-    message reports all three parameters and the bound.
+    error when k < 2 or, from alpha_schedule, when the minimum degree is
+    below 2 * rank * k^2; the message reports all three parameters and
+    the bound.
     """
     if k < 2:
         raise PreconditionError(f"k must be at least 2, got {k}")
@@ -137,11 +129,6 @@ def partition_rounds(
     if m == 0:
         return Colouring((), k + 1), ()
     delta = h_graph.min_degree()
-    bound = 2 * r * k * k
-    if delta < bound:
-        raise PreconditionError(
-            f"min degree {delta} with rank {r} and k {k} requires at least {bound}"
-        )
     alphas = alpha_schedule(delta, k, r)
     colours = [k + 1] * m
     remaining: set[int] = set(range(m))

@@ -17,12 +17,11 @@ from random import Random
 import pytest
 
 from hypermaj.genlab import GenSpec, brute_force, complete_graph, generate, verify
-from hypermaj.hypercore import Hypergraph, serialize_colouring
+from hypermaj.hypercore import Colouring, Hypergraph, serialize_colouring
 from hypermaj.linearhg import colour_linear, greedy_colour, line_graph, split_hypergraph
 from hypermaj.lll import (
     bad_vertices,
     inequalities_hold,
-    random_colouring,
     resample_colour,
     threshold,
 )
@@ -230,10 +229,10 @@ def test_linear_pipeline_stage_bounds():
         for j in range(25):
             n = (16 if r == 2 else 24) + j % 5
             h = generate(GenSpec("linear", n, r, dmin + j % 3, 5000 + 100 * r + j))
-            assert h.is_linear() and h.rank() == r and h.min_degree() >= dmin
+            assert h.linearity_witness() is None and h.rank() == r and h.min_degree() >= dmin
             h_star, _ = split_hypergraph(h, k)
             assert h_star.max_degree() <= k + 1
-            assert h_star.is_linear()
+            assert h_star.linearity_witness() is None
             lg = line_graph(h_star)
             assert lg.max_degree() <= k * r
             greedy = greedy_colour(lg)
@@ -346,7 +345,8 @@ def test_checker_coherence_and_failure_paths():
     agreements = 0
     for h, k in cases:
         for s in range(200):
-            c = random_colouring(h, k, seed=s)
+            rng = Random(s)
+            c = Colouring([rng.randint(1, k + 1) for _ in h.edges], k + 1)
             bad = bad_vertices(h, c, k)
             if (len(bad) == 0) == verify(h, k, c).valid:
                 agreements += 1

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,18 @@ def test_verify_json_lines_reports_same_facts(tmp_path):
     assert violation == {
         "type": "violation", "vertex": 2, "colour": 1, "count": 2, "bound": 1,
     }
+
+
+def test_verify_length_mismatch_exit_2(tmp_path, capsys):
+    # the length check is verify's own; the CLI reports it unchanged
+    hgr = tmp_path / "in.hgr"
+    col = tmp_path / "c.col"
+    hgr.write_text(TRIANGLE)
+    col.write_text("1\n2\n")
+    assert cli.main(["verify", str(hgr), str(col), "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: colouring has 2 entries for 3 edges\n"
 
 
 def test_colour_linear_rejects_non_linear_input(tmp_path):
@@ -337,6 +350,11 @@ def test_random_lll_infeasible_exit_1(tmp_path, capsys):
         "trial seed=51 outcome=infeasible rounds=0",
     ]
     assert "valid=false" in out[-1]
+    # trials report in seed order from the default seed
+    argv = argv[:6] + ["--trials", "64", "-o", str(tmp_path / "o.col")]
+    assert cli.main(argv) == 1
+    trials = [l for l in capsys.readouterr().out.splitlines() if l.startswith("trial ")]
+    assert [l.split()[1] for l in trials] == [f"seed={1729 + i}" for i in range(64)]
 
 
 def test_random_lll_success(tmp_path):
@@ -401,35 +419,54 @@ def test_negative_max_rounds_exit_2(tmp_path, capsys):
     assert "--max-rounds must be non-negative" in capsys.readouterr().err
 
 
-def test_trials_start_at_most_one_thread_per_core(tmp_path, monkeypatch, capsys):
+def cli_peak_bytes(argv):
+    """Exit code and tracemalloc peak of an in-process `main(argv)` call,
+    with stdout and stderr captured."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_trials_memory_does_not_grow_with_trials(tmp_path):
+    # only the printed colouring and one row per trial may outlive a
+    # trial, so 200 trials of 2000 edges must not keep 200 colourings alive
     hgr = tmp_path / "in.hgr"
-    hgr.write_text("1 2\n1 2\n")  # degree 1 < k: every trial is infeasible
-    started = []
+    h = generate(GenSpec("regular", 200, 2, 20, 1))
+    hgr.write_text(serialize_hypergraph(h))
+    m = len(h.edges)
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def peak(trials):
+        argv = ["colour", str(hgr), "--algorithm", "random-lll", "--k", "2",
+                "--trials", str(trials), "--max-rounds", "0", "-o", str(tmp_path / "o.col")]
+        code, size = cli_peak_bytes(argv)
+        assert code == 1  # no rounds to spend: every trial is exhausted
+        return size
 
-        def __enter__(self):
-            return self
+    peak(1)  # warm caches so that both measured calls start alike
+    one = peak(1)
+    # a colouring holds at least m 8-byte references
+    assert peak(200) - one < 200 * m * 8 // 4
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-    argv = ["colour", str(hgr), "--algorithm", "random-lll", "--k", "2",
-            "--trials", "64", "--jobs", "64", "--max-rounds", "1",
-            "-o", str(tmp_path / "o.col")]
-    assert cli.main(argv) == 1
-    assert started == [min(64, os.cpu_count() or 1)]
-    trials = [l for l in capsys.readouterr().out.splitlines() if l.startswith("trial ")]
-    assert [l.split()[1] for l in trials] == [f"seed={1729 + i}" for i in range(64)]
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    assert cli.main(argv) == 1
-    assert started[-1] == 3
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        # one isolated vertex, which needs no colour count table
+        (["colour", "IN", "--algorithm", "random-lll", "--k", "20000000"], "0 1\n"),
+        # one edge, whose first valid colour, if any, is colour 1
+        (["oracle", "IN", "--k", "2", "--palette", "10000000"], "1 2\n1 2\n"),
+    ],
+)
+def test_hostile_k_or_palette_allocates_no_table_of_that_size(tmp_path, argv, text):
+    hgr = tmp_path / "in.hgr"
+    hgr.write_text(text)
+    code, size = cli_peak_bytes([str(hgr) if a == "IN" else a for a in argv])
+    assert code in (0, 1)
+    assert size < 2**24  # tables of --k or --palette entries would take 160 MB
 
 
 def test_oracle_search_space_guard_exit_2(tmp_path):
@@ -480,7 +517,10 @@ def test_cli_import_leaves_numpy_unloaded():
         [
             sys.executable,
             "-c",
-            "import sys, hypermaj.cli; print('numpy' in sys.modules, 'mpmath' in sys.modules)",
+            # trials run in a plain loop: no concurrent.futures, which
+            # also pulled in logging
+            "import sys, hypermaj.cli; print(*(m in sys.modules for m in"
+            " ('numpy', 'mpmath', 'concurrent.futures', 'logging')))",
         ],
         capture_output=True,
         text=True,
@@ -488,7 +528,7 @@ def test_cli_import_leaves_numpy_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False False"
+    assert res.stdout.strip() == "False False False False"
 
 
 def test_no_assert_statements_in_package():

@@ -7,6 +7,7 @@ from hypermaj import genlab
 from hypermaj.errors import GenerationError, PreconditionError
 from hypermaj.genlab import (
     MAX_GEN_INCIDENCES,
+    MAX_GEN_PAIRS,
     GenSpec,
     Violation,
     brute_force,
@@ -67,7 +68,7 @@ def test_verify_argument_errors():
     h = bundle(2)
     with pytest.raises(PreconditionError):
         verify(h, 1, Colouring([1, 1], 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="^colouring has 1 entries for 2 edges$"):
         verify(h, 2, Colouring([1], 2))
 
 
@@ -108,6 +109,53 @@ def test_brute_force_result_always_verifies():
             found += 1
             assert verify(h, 2, c).valid
     assert found > 0
+
+
+def reference_brute_force(h, k, palette):
+    """The oracle as it was: tables of palette + 1 per vertex and every
+    colour tried at every edge."""
+    m = len(h.edges)
+    bounds = [h.degree(v) // k for v in range(h.n_vertices)]
+    counts = [[0] * (palette + 1) for _ in range(h.n_vertices)]
+    chosen = [0] * m
+
+    def search(e):
+        if e == m:
+            return True
+        for c in range(1, palette + 1):
+            if all(counts[v][c] < bounds[v] for v in h.edges[e]):
+                for v in h.edges[e]:
+                    counts[v][c] += 1
+                chosen[e] = c
+                if search(e + 1):
+                    return True
+                for v in h.edges[e]:
+                    counts[v][c] -= 1
+        return False
+
+    return tuple(chosen) if search(0) else None
+
+
+def test_brute_force_matches_reference_above_m_colours():
+    # colours above m never occur in the lexicographically first valid
+    # colouring, so a palette cut to m must find the same one
+    rng = random.Random(2024)
+    found = 0
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        edges = [
+            tuple(rng.sample(range(n), rng.randint(1, min(3, n))))
+            for _ in range(rng.randint(0, 6))
+        ]
+        h = Hypergraph(n, edges)
+        k, palette = rng.randint(2, 3), rng.randint(1, 9)
+        c = brute_force(h, k, palette)
+        expected = reference_brute_force(h, k, palette)
+        assert (None if c is None else c.colours) == expected
+        if c is not None:
+            found += 1
+            assert c.palette_size == palette
+    assert found > 300
 
 
 def test_brute_force_guard():
@@ -222,20 +270,45 @@ def test_gen_uniform_r_too_large():
 def test_gen_linear_posts():
     for seed in range(5):
         h = generate(GenSpec(model="linear", n=25, r=3, min_degree=5, seed=seed))
-        assert h.is_linear()
+        assert h.linearity_witness() is None
         assert h.min_degree() >= 5
 
 
 def test_gen_linear_infeasible_budget():
-    # a 4-vertex simple graph tops out at degree 3
-    with pytest.raises(GenerationError):
-        generate(GenSpec(model="linear", n=4, r=2, min_degree=10, seed=0))
+    # 5 vertices hold at most two triples meeting in one vertex, yet
+    # 1 + 2 * (3 - 1) = 5 passes the up-front count, so only the budget stops it
+    with pytest.raises(GenerationError, match="retry budget exhausted"):
+        generate(GenSpec(model="linear", n=5, r=3, min_degree=2, seed=0))
+
+
+def test_gen_linear_rejects_too_few_vertices_up_front():
+    # the min_degree edges at a vertex meet only there: 1 + d(r-1) vertices
+    for n, r, d in ((4, 2, 10), (600, 600, 2), (6, 3, 3)):
+        with pytest.raises(PreconditionError, match=f"needs at least {1 + d * (r - 1)} vertices"):
+            generate(GenSpec(model="linear", n=n, r=r, min_degree=d, seed=0))
+    with pytest.raises(PreconditionError, match="needs at least 11 vertices"):
+        generate(GenSpec(model="graph", n=4, r=2, min_degree=10, seed=0))
+    # at equality the bound admits K_5 and a single edge on every vertex
+    assert len(generate(GenSpec(model="graph", n=5, r=2, min_degree=4, seed=0)).edges) == 10
+    assert len(generate(GenSpec(model="linear", n=600, r=600, min_degree=1, seed=0)).edges) == 1
+
+
+def test_gen_linear_stops_at_pair_limit(monkeypatch):
+    # 10 vertices at r=4 need at least 3 edges, 18 pairs, past a limit of 12
+    monkeypatch.setattr(genlab, "MAX_GEN_PAIRS", 12)
+    with pytest.raises(GenerationError, match="^18 vertex pairs of edges of size 4 exceed the pair limit of 12 "):
+        generate(GenSpec("linear", 10, 4, 1, 1))
+    assert MAX_GEN_PAIRS == 2**21
+    # one edge of 3000 vertices would store 4.5M pairs: refused before
+    # the first sample is drawn
+    with pytest.raises(GenerationError, match="^4498500 vertex pairs of edges of size 3000 exceed"):
+        generate(GenSpec("linear", 4000, 3000, 1, 1))
 
 
 def test_gen_graph_is_simple_graph():
     h = generate(GenSpec(model="graph", n=12, r=2, min_degree=5, seed=2))
     assert h.rank() == 2
-    assert h.is_linear()
+    assert h.linearity_witness() is None
     assert len(set(h.edges)) == len(h.edges)
     with pytest.raises(PreconditionError):
         generate(GenSpec(model="graph", n=12, r=3, min_degree=5, seed=2))
@@ -258,5 +331,5 @@ def test_complete_graph():
     h = complete_graph(5)
     assert len(h.edges) == 10
     assert all(d == 4 for d in h.degrees())
-    assert h.is_linear()
+    assert h.linearity_witness() is None
     assert h.rank() == 2

@@ -113,21 +113,20 @@ def test_degree_no_edges():
 def test_degree_multi_edges():
     h = Hypergraph(2, [(0, 1), (0, 1), (0, 1)])
     assert h.degree(1) == 3
-    assert not h.is_linear()  # repeated size-2 edge shares both vertices
+    assert h.linearity_witness() is not None  # repeated size-2 edge shares both vertices
 
 
 def test_min_degree_rank_linear_trivia():
     tri = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
     assert tri.min_degree() == 2
     assert tri.rank() == 2
-    assert tri.is_linear()
+    assert tri.linearity_witness() is None
 
     h = Hypergraph(4, [(0, 1, 2), (0, 1, 3)])
-    assert not h.is_linear()
+    assert h.linearity_witness() is not None
     assert h.linearity_witness() == (0, 1)
 
     h2 = Hypergraph(6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)])
-    assert h2.is_linear()
     assert h2.linearity_witness() is None
 
 
@@ -146,7 +145,8 @@ def test_is_linear_edge_order_invariant():
         h = Hypergraph(n, edges)
         shuffled = list(edges)
         rng.shuffle(shuffled)
-        assert h.is_linear() == Hypergraph(n, shuffled).is_linear()
+        linear = h.linearity_witness() is None
+        assert linear == (Hypergraph(n, shuffled).linearity_witness() is None)
 
 
 def test_min_degree_at_most_average():

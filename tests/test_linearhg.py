@@ -11,12 +11,10 @@ from hypermaj.genlab import GenSpec, complete_graph, generate, verify
 from hypermaj.hypercore import Colouring, Hypergraph, serialize_colouring
 from hypermaj.linearhg import (
     LineGraph,
-    SplitMap,
     VertexSplit,
     colour_linear,
     greedy_colour,
     line_graph,
-    split_degrees,
     split_hypergraph,
 )
 
@@ -26,45 +24,60 @@ FANO = Hypergraph(
 )
 
 
+def lone_vertex(d):
+    """One vertex of degree d: d size-1 edges meet only there, so the
+    hypergraph is linear."""
+    return Hypergraph(1, [(0,)] * d)
+
+
+def split_of_degree(d, k):
+    """(m, t) of a vertex of degree d, read from split_hypergraph."""
+    _, splits = split_hypergraph(lone_vertex(d), k)
+    return splits[0].m, splits[0].t
+
+
 def test_split_degrees_mixed():
-    assert split_degrees(7, 3) == (1, 2)
+    assert split_of_degree(7, 3) == (1, 2)
 
 
 def test_split_degrees_at_minimum():
     for k in (2, 3, 4, 5):
-        assert split_degrees(k * k - k, k) == (0, k - 1)
+        assert split_of_degree(k * k - k, k) == (0, k - 1)
 
 
 def test_split_degrees_even():
-    assert split_degrees(8, 2) == (0, 4)
+    assert split_of_degree(8, 2) == (0, 4)
 
 
 def test_split_degrees_preconditions():
-    with pytest.raises(PreconditionError):
-        split_degrees(5, 1)
-    with pytest.raises(PreconditionError):
-        split_degrees(1, 2)
-    with pytest.raises(PreconditionError):
-        split_degrees(5, 3)  # below 3^2 - 3 = 6
+    with pytest.raises(PreconditionError, match="k must be at least 2, got 1"):
+        split_hypergraph(lone_vertex(5), 1)
+    # checked up front, so also with no vertex to split
+    with pytest.raises(PreconditionError, match="k must be at least 2, got 1"):
+        split_hypergraph(Hypergraph(0, []), 1)
+    with pytest.raises(PreconditionError, match="min degree 1 below"):
+        split_hypergraph(lone_vertex(1), 2)
+    with pytest.raises(PreconditionError, match="min degree 5 below"):
+        split_hypergraph(lone_vertex(5), 3)  # below 3^2 - 3 = 6
 
 
 def test_split_fano_is_identity():
     # all degrees 3, k=2: m=1, t=1, a single sub-vertex of degree 3
-    assert FANO.is_linear()
-    h_star, smap = split_hypergraph(FANO, 2)
+    assert FANO.linearity_witness() is None
+    h_star, splits = split_hypergraph(FANO, 2)
     assert h_star.n_vertices == 7
     assert h_star.max_degree() == 3  # = k+1
-    assert h_star.is_linear()
-    assert all(s.m == 1 and s.t == 1 for s in smap.splits)
+    assert h_star.linearity_witness() is None
+    assert all(s.m == 1 and s.t == 1 for s in splits)
     assert sorted(map(sorted, h_star.edges)) == sorted(map(sorted, FANO.edges))
 
 
 def test_split_degree2_graph_identity():
     # every degree exactly 2, k=2: (m, t) = (0, 1), no actual split
     cycle = Hypergraph(5, [(i, (i + 1) % 5) for i in range(5)])
-    h_star, smap = split_hypergraph(cycle, 2)
+    h_star, splits = split_hypergraph(cycle, 2)
     assert h_star.n_vertices == 5
-    assert all(s.m == 0 and s.t == 1 for s in smap.splits)
+    assert all(s.m == 0 and s.t == 1 for s in splits)
 
 
 def test_split_counts_conserved():
@@ -72,15 +85,15 @@ def test_split_counts_conserved():
     for seed in range(4):
         h = generate(GenSpec(model="linear", n=30, r=3, min_degree=7, seed=seed))
         for k in (2, 3):
-            h_star, smap = split_hypergraph(h, k)
-            assert h_star.n_vertices == sum(s.t for s in smap.splits)
+            h_star, splits = split_hypergraph(h, k)
+            assert h_star.n_vertices == sum(s.t for s in splits)
             assert h_star.rank() == h.rank()
             assert h_star.max_degree() <= k + 1
-            assert h_star.is_linear()
+            assert h_star.linearity_witness() is None
             for u in range(h.n_vertices):
-                sizes = sorted(len(b) for b in smap.splits[u].blocks)
+                sizes = sorted(len(b) for b in splits[u].blocks)
                 assert sum(sizes) == h.degree(u)
-                m, t = smap.splits[u].m, smap.splits[u].t
+                m, t = splits[u].m, splits[u].t
                 assert sizes == sorted([k + 1] * m + [k] * (t - m))
 
 
@@ -96,13 +109,13 @@ def test_split_blocks_ascending_edge_order():
     # ascending edge-id order
     base = complete_graph(5)
     h = Hypergraph(6, list(base.edges) + [(0, 5), (1, 5)])
-    h_star, smap = split_hypergraph(h, 2)
-    split0 = smap.splits[0]
+    h_star, splits = split_hypergraph(h, 2)
+    split0 = splits[0]
     assert (split0.m, split0.t) == (1, 2)
     incident0 = h.incident_edges(0)
     assert split0.blocks == (incident0[:3], incident0[3:])
     # an untouched degree-4 vertex splits evenly
-    split4 = smap.splits[4]
+    split4 = splits[4]
     assert (split4.m, split4.t) == (0, 2)
     assert all(len(b) == 2 for b in split4.blocks)
 
@@ -269,7 +282,7 @@ def reference_split(h_graph, k):
     splits, sub_of, total = [], [], 0
     for u in range(h_graph.n_vertices):
         incident = h_graph.incident_edges(u)
-        m, t = split_degrees(len(incident), k)
+        m, t = len(incident) % k, len(incident) // k
         blocks, lookup, pos = [], {}, 0
         for j in range(t):
             size = k + 1 if j < m else k
@@ -286,7 +299,7 @@ def reference_split(h_graph, k):
     assert max(h_star.degrees(), default=0) <= k + 1
     assert h_star.linearity_witness() is None
     assert h_star.rank() == h_graph.rank()
-    return h_star, SplitMap(tuple(splits))
+    return h_star, tuple(splits)
 
 
 def reference_line_graph(h_star):
@@ -338,7 +351,7 @@ def linear_cases(draw):
 
 def split_outcome(split, lg, h, k):
     try:
-        h_star, smap = split(h, k)
+        h_star, splits = split(h, k)
     except PreconditionError as exc:
         return ("precondition", str(exc))
     return (
@@ -346,7 +359,7 @@ def split_outcome(split, lg, h, k):
         h_star.edges,
         h_star.degrees(),
         [h_star.incident_edges(v) for v in range(h_star.n_vertices)],
-        smap,
+        splits,
         lg(h_star),
     )
 

@@ -15,7 +15,6 @@ from hypermaj.lll import (
     ResampleRun,
     bad_vertices,
     inequalities_hold,
-    random_colouring,
     resample_colour,
     threshold,
     threshold_details,
@@ -62,6 +61,11 @@ def test_inequalities_parameter_guards():
         inequalities_hold(2, 1, 10)
     with pytest.raises(PreconditionError):
         inequalities_hold(2, 2, 0)
+    # threshold leaves these checks to its first inequalities_hold call
+    for k, r in ((1, 2), (0, 2), (-3, 2), (2, 1)):
+        bad = f"k must be at least 2, got {k}" if k < 2 else f"r must be at least 2, got {r}"
+        with pytest.raises(PreconditionError, match=f"^{bad}$"):
+            threshold(k, r)
 
 
 def test_threshold_regression_values():
@@ -166,11 +170,19 @@ def test_threshold_details_at_star():
     assert lhs2 > 0.9
 
 
+def first_draw(h, k, seed):
+    """Each edge's colour drawn uniformly from {1..k+1}, in edge order,
+    from a generator seeded with `seed`: the resampler's first draw."""
+    rng = random.Random(seed)
+    return Colouring([rng.randint(1, k + 1) for _ in h.edges], k + 1)
+
+
 def test_random_colouring_deterministic():
+    # with no rounds to spend, a run returns its first draw
     h = generate(GenSpec(model="uniform", n=8, r=3, min_degree=10, seed=1))
-    a = random_colouring(h, 2, seed=5)
-    b = random_colouring(h, 2, seed=5)
-    assert a.colours == b.colours
+    a = resample_colour(h, 2, 5, max_rounds=0).colouring
+    b = resample_colour(h, 2, 5, max_rounds=0).colouring
+    assert a.colours == b.colours == first_draw(h, 2, 5).colours
     assert a.palette_size == 3
     assert all(1 <= c <= 3 for c in a.colours)
 
@@ -179,7 +191,7 @@ def test_random_colouring_roughly_uniform():
     h = generate(GenSpec(model="uniform", n=20, r=2, min_degree=300, seed=2))
     m = len(h.edges)
     assert m >= 2500
-    c = random_colouring(h, 2, seed=8)
+    c = resample_colour(h, 2, 8, max_rounds=0).colouring
     counts = [0, 0, 0]
     for col in c.colours:
         counts[col - 1] += 1
@@ -289,7 +301,7 @@ def test_resample_infeasible_fails_fast():
     # the run stops at round 0 with the first draw instead of resampling
     h = Hypergraph(2, [(0, 1)])
     run = resample_colour(h, 2, seed=9, max_rounds=37)
-    assert run == ResampleRun(9, 37, 0, "infeasible", random_colouring(h, 2, 9))
+    assert run == ResampleRun(9, 37, 0, "infeasible", first_draw(h, 2, 9))
     # the default cap is still reported, and never spent
     assert resample_colour(h, 2, seed=9).max_rounds == 10_000
     # degree 0 is not infeasible: an isolated vertex has nothing to violate

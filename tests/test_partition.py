@@ -8,7 +8,6 @@ from hypermaj.errors import InvariantBreach, PreconditionError
 from hypermaj.genlab import GenSpec, complete_graph, generate, verify
 from hypermaj.hypercore import Hypergraph, serialize_colouring
 from hypermaj.partition import (
-    alpha,
     alpha_schedule,
     check_class_bounds,
     colour_partition,
@@ -19,26 +18,23 @@ F = Fraction
 
 
 def test_alpha_first_round():
-    assert alpha(1, 16, 2, 2) == F(3, 8)
+    assert alpha_schedule(16, 2, 2)[0] == F(3, 8)
 
 
 def test_alpha_second_round():
-    assert alpha(2, 16, 2, 2) == F(1, 2)
+    assert alpha_schedule(16, 2, 2)[1] == F(1, 2)
 
 
 def test_alpha_at_minimum_degree():
     # delta = 2rk^2 exactly: alpha_1 = (2rk - r) / (2rk^2) = (2k-1)/(2k^2)
-    assert alpha(1, 36, 3, 2) == F(5, 18)
-    assert alpha(1, 16, 2, 2) == F(3, 8)  # k=2, r=2 instance of the same identity
+    assert alpha_schedule(36, 3, 2)[0] == F(5, 18)
+    # k=2, r=2 instance of the same identity
+    assert alpha_schedule(16, 2, 2)[0] == F(3, 8)
 
 
 def test_alpha_preconditions():
-    with pytest.raises(PreconditionError):
-        alpha(0, 16, 2, 2)
-    with pytest.raises(PreconditionError):
-        alpha(3, 16, 2, 2)
-    with pytest.raises(PreconditionError):
-        alpha(1, 15, 2, 2)
+    with pytest.raises(PreconditionError, match="^min degree 15 with rank 2 and k 2 requires at least 16$"):
+        alpha_schedule(15, 2, 2)
 
 
 def test_alpha_schedule_interior():
@@ -46,6 +42,12 @@ def test_alpha_schedule_interior():
         alphas = alpha_schedule(delta, k, r)
         assert len(alphas) == k
         assert all(0 < a < 1 for a in alphas)
+
+
+def test_alpha_schedule_breach_outside_interval():
+    # rank 0 slips past the degree precondition and drives alpha_2 to 1
+    with pytest.raises(InvariantBreach, match="escaped"):
+        alpha_schedule(5, 2, 0)
 
 
 def test_colour_k17():
