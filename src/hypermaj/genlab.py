@@ -93,25 +93,26 @@ def brute_force(h: Hypergraph, k: int, palette: int) -> Optional[Colouring]:
 
     Depth-first search over edges in order with early pruning: a partial
     assignment is abandoned as soon as some vertex exceeds its per-colour
-    bound. Guarded to max(palette, 2)**|E| <= 10^8 states: counting at
-    least two choices per edge also caps the recursion depth at 27.
+    bound. Guarded to c**|E| <= 10^8 states for the c = min(palette, |E|)
+    colours tried per edge: counting at least two choices per edge also
+    caps the recursion depth at 27.
     """
     if k < 2:
         raise PreconditionError(f"k must be at least 2, got {k}")
     if palette < 1:
         raise PreconditionError(f"palette must be at least 1, got {palette}")
     m = len(h.edges)
-    choices = max(palette, 2)
-    # 2**m passes the limit once m reaches its bit length; testing that
-    # first keeps choices**m small whatever palette a caller passes.
-    if m >= BRUTE_FORCE_LIMIT.bit_length() or choices**m > BRUTE_FORCE_LIMIT:
-        raise PreconditionError(
-            f"search space {choices}^{m} exceeds the {BRUTE_FORCE_LIMIT} guard"
-        )
     # In the lexicographically first valid colouring no edge's colour
     # exceeds one more than the colours used before it (swapping two unused
     # labels would give a smaller one), so colours above m are never tried.
     top = min(palette, m)
+    choices = max(top, 2)
+    # 2**m passes the limit once m reaches its bit length; testing that
+    # first keeps choices**m small.
+    if m >= BRUTE_FORCE_LIMIT.bit_length() or choices**m > BRUTE_FORCE_LIMIT:
+        raise PreconditionError(
+            f"search space {choices}^{m} exceeds the {BRUTE_FORCE_LIMIT} guard"
+        )
     bounds = [d // k for d in h.degrees()]
     counts = [[0] * (top + 1) if d else () for d in h.degrees()]
     chosen = [0] * m

@@ -17,9 +17,13 @@ of ids in [0, n_vertices); incidence lists ascending) are checked once,
 where the edges come from:
     Hypergraph(n, edges)   the public constructor validates everything,
                            for generators, tests and library users;
-    parse_hypergraph       checks every token as it reads it (integer,
-                           in range, not repeated in its line, no empty
-                           line), then builds without checking again;
+    parse_hypergraph       checks the edge lines in bulk (each distinct
+                           token converted and range-checked once, a
+                           line's frozenset as long as its token list,
+                           the declared edge count), then builds without
+                           checking again; only a file that fails a bulk
+                           check is read token by token, to name its
+                           first faulty line;
     split_hypergraph       builds H* from the sub-vertex blocks it deals
                            and certifies H* itself (linearhg).
 The last two go through the private Hypergraph._trusted, which indexes
@@ -35,9 +39,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NoReturn, Optional
 
-from .errors import FormatError
+from .errors import FormatError, InvariantBreach
 
 __all__ = [
     "MAX_VERTICES",
@@ -146,15 +150,27 @@ class Hypergraph:
 
     def rank(self) -> int:
         """Largest edge size, or 0 when there are no edges."""
-        return max((len(e) for e in self.edges), default=0)
+        return max(map(len, self.edges), default=0)
 
     def linearity_witness(self) -> Optional[tuple[int, int]]:
         """First pair of edge indices sharing two or more vertices, or
         None when the hypergraph is linear.
 
-        Two edges share >= 2 vertices exactly when they share a vertex pair,
-        so one pass over the pairs inside each edge suffices.
+        The edges at v meet only at v exactly when their union has
+        sum(|e| - 1) + 1 vertices, so each vertex is tested with one union.
+        Only when some vertex fails is the witness searched for: two edges
+        share >= 2 vertices exactly when they share a vertex pair, so one
+        pass over the pairs inside each edge finds the first.
         """
+        edges = self.edges
+        sizes = [len(fs) - 1 for fs in edges]
+        for incident in self._incidence:
+            if len(incident) > 1 and len(
+                frozenset().union(*map(edges.__getitem__, incident))
+            ) != sum(map(sizes.__getitem__, incident)) + 1:
+                break
+        else:
+            return None
         seen: dict[tuple[int, int], int] = {}
         for e, fs in enumerate(self.edges):
             for pair in itertools.combinations(sorted(fs), 2):
@@ -232,12 +248,32 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+class _VertexIds(dict):
+    """Vertex-id token -> 0-based id. A token is converted the first time
+    it is looked up, so each distinct token once; one that is not an
+    integer in [1, n_vertices] raises ValueError."""
+
+    def __init__(self, n_vertices: int):
+        super().__init__()
+        self.n_vertices = n_vertices
+
+    def __missing__(self, tok: str) -> int:
+        v = int(tok) - 1
+        if not 0 <= v < self.n_vertices:
+            raise ValueError(tok)
+        self[tok] = v
+        return v
+
+
 def parse_hypergraph(text: str | bytes) -> Hypergraph:
     """Parse HGR text into a Hypergraph, preserving edge order."""
-    lines = _content_lines(text)
-    if not lines:
+    lines = _decode(text).splitlines()
+    head_no = next(
+        (no for no, line in enumerate(lines, 1) if not line.lstrip().startswith("%")), 0
+    )
+    if not head_no:
         raise FormatError(1, "missing header")
-    head_no, head = lines[0]
+    head = lines[head_no - 1].strip()
     parts = head.split()
     if len(parts) != 2:
         raise FormatError(head_no, f"malformed header {head!r}; expected '<num_edges> <num_vertices>'")
@@ -251,16 +287,56 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
         raise FormatError(
             head_no, f"vertex count {n_vertices} exceeds the limit of {MAX_VERTICES}"
         )
+    edges = _edges_in_bulk(itertools.islice(lines, head_no, None), n_edges, n_vertices)
+    if edges is None:
+        _raise_edge_error(lines, head_no, n_edges, n_vertices)
+    return Hypergraph._trusted(n_vertices, edges)
 
+
+def _edges_in_bulk(
+    lines: Iterable[str], n_edges: int, n_vertices: int
+) -> Optional[list[frozenset[int]]]:
+    """The edges of the lines after the header, or None at the first line
+    that breaks a rule: a token that is no id in range, an empty line, a
+    repeated id (the line's frozenset is shorter than its tokens), more
+    edge lines than the header declared, or fewer."""
+    ids = _VertexIds(n_vertices)
+    lookup = ids.__getitem__
     edges: list[frozenset[int]] = []
+    for toks in map(str.split, lines):
+        if toks and toks[0].startswith("%"):
+            continue
+        if len(edges) == n_edges:
+            return None
+        try:
+            # members in file order: a frozenset's iteration order can
+            # depend on insertion order, and the rounder and resampler
+            # follow it
+            fs = frozenset(map(lookup, toks))
+        except ValueError:
+            return None
+        if not fs or len(fs) != len(toks):
+            return None
+        edges.append(fs)
+    return edges if len(edges) == n_edges else None
+
+
+def _raise_edge_error(
+    lines: list[str], head_no: int, n_edges: int, n_vertices: int
+) -> NoReturn:
+    """Read the edge lines that _edges_in_bulk refused token by token, and
+    raise the FormatError of the first faulty one."""
+    n_read = 0
     last_no = head_no
-    for no, line in lines[1:]:
+    for no, line in enumerate(itertools.islice(lines, head_no, None), head_no + 1):
+        line = line.strip()
+        if line.startswith("%"):
+            continue
         last_no = no
         if not line:
             raise FormatError(no, "empty edge line")
-        if len(edges) == n_edges:
+        if n_read == n_edges:
             raise FormatError(no, f"unexpected extra edge line; header declared {n_edges} edges")
-        members = []
         seen: set[int] = set()
         for tok in line.split():
             try:
@@ -272,14 +348,10 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
             if v in seen:
                 raise FormatError(no, f"duplicate vertex {v} in edge")
             seen.add(v)
-            members.append(v - 1)
-        # from the members in file order: a frozenset's iteration order can
-        # depend on insertion order, and the rounder and resampler follow it
-        edges.append(frozenset(members))
-    if len(edges) != n_edges:
-        raise FormatError(last_no, f"expected {n_edges} edges, found {len(edges)}")
-    # every token is checked above: ids in range, none repeated, no edge empty
-    return Hypergraph._trusted(n_vertices, edges)
+        n_read += 1
+    if n_read != n_edges:
+        raise FormatError(last_no, f"expected {n_edges} edges, found {n_read}")
+    raise InvariantBreach("bulk edge check refused a file the token scan accepts")
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:

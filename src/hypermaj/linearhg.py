@@ -7,29 +7,36 @@ rank. The route:
   1. Split every vertex u into t_u = floor(d(u)/k) sub-vertices, the
      first m_u = d(u) mod k of degree k+1 and the rest of degree k.
      The resulting hypergraph H* has max degree k+1 and stays linear.
-  2. Build the line graph of H*; its max degree is at most kr.
-  3. Greedily colour the line graph with at most kr+1 colours.
-  4. Read the node colours back as edge colours of H (the split leaves
-     edge ids untouched). No colour repeats at a sub-vertex, so at each
+  2. Colour the line graph of H*, whose max degree is at most kr,
+     first-fit in ascending edge order, with at most kr+1 colours.
+  3. Read the colours back as edge colours of H (the split leaves edge
+     ids untouched). No colour repeats at a sub-vertex, so at each
      original vertex u a colour appears at most t_u times.
 
-H* is built from the split itself: block j of vertex u is the incidence
-of one sub-vertex, so the blocks are H*'s incidence lists and each edge's
-members are collected in the same pass, with nothing re-derived or
-re-validated. Its guarantees are certified from what that pass has:
-every block holds at most k+1 edges; no edge pair occurs in two blocks
-(two edges sharing two sub-vertices would put their pair in both), so
-H* is linear; and every edge gets as many distinct sub-vertices as it
-has vertices, so sizes and the rank are unchanged.
+colour_linear does steps 2 and 3 in one pass over the split's blocks:
+block j of vertex u is the incidence of one sub-vertex, so an edge's
+line-graph neighbours are the union of the blocks it was dealt to, and
+neither H* nor the line graph is built. split_hypergraph, line_graph and
+greedy_colour stay public as the reference construction of the same
+route, and the CLI's --emit-split prints split_hypergraph's blocks.
+
+The split's guarantees are certified from the blocks, with nothing
+re-derived or re-validated: every block holds at most k+1 edges; no
+edge pair occurs in two blocks (two edges sharing two sub-vertices would
+put their pair in both), so H* is linear; and every edge gets as many
+distinct sub-vertices as it has vertices, so sizes and the rank are
+unchanged. colour_linear also checks the line-graph degree against
+rank * (largest block - 1) and the colours against the palette.
 
 Determinism: incident edges are dealt to sub-vertices in ascending
-edge-id order, and the greedy scan also runs in ascending node order.
+edge-id order, and first-fit also runs in ascending edge order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import chain, combinations, islice, repeat, starmap
+from operator import eq
 
 from .errors import InvariantBreach, PreconditionError
 from .hypercore import Colouring, Hypergraph
@@ -72,22 +79,21 @@ def _deal(incident: tuple[int, ...], k: int) -> VertexSplit:
     first m = d mod k blocks take k+1 edges, the remaining t - m take k,
     where t = floor(d/k) for degree d; t >= m needs d >= k^2 - k."""
     t, m = divmod(len(incident), k)
-    cut = m * (k + 1)
-    blocks = [incident[i : i + k + 1] for i in range(0, cut, k + 1)]
-    blocks += [incident[i : i + k] for i in range(cut, len(incident), k)]
-    return VertexSplit(m, t, tuple(blocks))
+    # zip over one shared iterator cuts consecutive runs: m of k+1, then
+    # the d - m(k+1) = (t - m)k edges left in runs of k
+    it = iter(incident)
+    return VertexSplit(m, t, (*islice(zip(*[it] * (k + 1)), m), *zip(*[it] * k)))
 
 
-def split_hypergraph(
+def _split(
     h_graph: Hypergraph, k: int
-) -> tuple[Hypergraph, tuple[VertexSplit, ...]]:
-    """Replace each vertex by its sub-vertices; every edge keeps its id
-    and size, with each endpoint swapped for the sub-vertex it was dealt
-    to. The result has max degree at most k+1 and is again linear.
+) -> tuple[list[VertexSplit], list[tuple[int, ...]], list[list[tuple[int, ...]]]]:
+    """The split behind split_hypergraph and colour_linear: check the
+    preconditions, deal every vertex, and certify H* from the blocks.
 
-    Returns H* and one VertexSplit per vertex. Sub-vertices are numbered
-    vertex by vertex, so sub-vertex j of u has global id j plus the t of
-    all vertices before u."""
+    Returns the VertexSplits, the blocks (block s is the incidence of
+    sub-vertex s) and, per edge, the blocks it was dealt to in sub-vertex
+    order."""
     if k < 2:
         raise PreconditionError(f"k must be at least 2, got {k}")
     witness = h_graph.linearity_witness()
@@ -107,36 +113,68 @@ def split_hypergraph(
     # is the incidence of sub-vertex s; an edge pair seen in two blocks is
     # two edges sharing two sub-vertices.
     blocks = [block for split in splits for block in split.blocks]
-    members: list[list[int]] = [[] for _ in edges]
-    first: dict[tuple[int, int], int] = {}
-    for s, block in enumerate(blocks):
+    holders: list[list[tuple[int, ...]]] = [[] for _ in edges]
+    for block in blocks:
         for e in block:
-            members[e].append(s)
-        for pair in itertools.combinations(block, 2):
-            if pair in first:
-                raise InvariantBreach(
-                    "split hypergraph is not linear",
-                    edges=pair,
-                    sub_vertices=(first[pair], s),
-                )
-            first[pair] = s
+            holders[e].append(block)
+    pairs = list(chain.from_iterable(map(combinations, blocks, repeat(2))))
+    if len(set(pairs)) != len(pairs):
+        first: dict[tuple[int, int], int] = {}
+        for s, block in enumerate(blocks):
+            for pair in combinations(block, 2):
+                if pair in first:
+                    raise InvariantBreach(
+                        "split hypergraph is not linear",
+                        edges=pair,
+                        sub_vertices=(first[pair], s),
+                    )
+                first[pair] = s
     max_degree = max(map(len, blocks), default=0)
     if max_degree > k + 1:
         raise InvariantBreach(
             "split left a sub-vertex above degree k+1", max_degree=max_degree, k=k
         )
-    # |e| distinct sub-vertices per edge also keeps the rank
-    new_edges = [frozenset(ms) for ms in members]
-    for e, (fs, ms, sub) in enumerate(zip(edges, members, new_edges)):
-        if not len(fs) == len(ms) == len(sub):
-            raise InvariantBreach(
-                "split changed the size of an edge",
-                edge=e,
-                size=len(fs),
-                split_size=len(sub),
-                dealt=len(ms),
-            )
-    h_star = Hypergraph._trusted(len(blocks), new_edges, blocks)
+    # |e| distinct sub-vertices per edge also keeps the rank; a sub-vertex
+    # repeated in an edge's list is an edge repeated in a block, which
+    # gives the pair (e, e)
+    if list(map(len, holders)) != list(map(len, edges)) or any(starmap(eq, pairs)):
+        members = _sub_vertices(blocks, len(edges))
+        for e, (fs, ms) in enumerate(zip(edges, members)):
+            sub = len(frozenset(ms))
+            if not len(fs) == len(ms) == sub:
+                raise InvariantBreach(
+                    "split changed the size of an edge",
+                    edge=e,
+                    size=len(fs),
+                    split_size=sub,
+                    dealt=len(ms),
+                )
+    return splits, blocks, holders
+
+
+def _sub_vertices(blocks: list[tuple[int, ...]], n_edges: int) -> list[list[int]]:
+    """Each edge's sub-vertex ids in ascending order: the s of every
+    block s it was dealt to."""
+    members: list[list[int]] = [[] for _ in range(n_edges)]
+    for s, block in enumerate(blocks):
+        for e in block:
+            members[e].append(s)
+    return members
+
+
+def split_hypergraph(
+    h_graph: Hypergraph, k: int
+) -> tuple[Hypergraph, tuple[VertexSplit, ...]]:
+    """Replace each vertex by its sub-vertices; every edge keeps its id
+    and size, with each endpoint swapped for the sub-vertex it was dealt
+    to. The result has max degree at most k+1 and is again linear.
+
+    Returns H* and one VertexSplit per vertex. Sub-vertices are numbered
+    vertex by vertex, so sub-vertex j of u has global id j plus the t of
+    all vertices before u."""
+    splits, blocks, _ = _split(h_graph, k)
+    members = _sub_vertices(blocks, len(h_graph.edges))
+    h_star = Hypergraph._trusted(len(blocks), [frozenset(ms) for ms in members], blocks)
     return h_star, tuple(splits)
 
 
@@ -176,13 +214,42 @@ def greedy_colour(lg: LineGraph) -> tuple[int, ...]:
     return tuple(colours)
 
 
+def _first_fit(holders: list[list[tuple[int, ...]]]) -> tuple[list[int], int]:
+    """greedy_colour(line_graph(H*)) read straight off the split: the
+    neighbourhood N(e) of edge e, e included, is the union of the blocks
+    it was dealt to, and e takes the least colour >= 1 unused in N(e).
+    Edges after e still hold 0 there, so only earlier ones count. Returns
+    the colours and the line graph's max degree, max |N(e)| - 1."""
+    colours = [0] * len(holders)
+    colour_of = colours.__getitem__
+    top = 0
+    for e, held in enumerate(holders):
+        nb = set().union(*held)
+        used = set(map(colour_of, nb))
+        c = 1
+        while c in used:
+            c += 1
+        colours[e] = c
+        if len(nb) > top:
+            top = len(nb)
+    return colours, top - 1
+
+
 def colour_linear(h_graph: Hypergraph, k: int) -> Colouring:
     """Colouring with palette k*rank+1 in which every vertex u sees each
     colour at most floor(d(u)/k) times. Input must be linear with
     minimum degree at least k^2 - k."""
-    h_star, _ = split_hypergraph(h_graph, k)
-    colours = greedy_colour(line_graph(h_star))
-    palette = k * h_graph.rank() + 1
+    _, blocks, holders = _split(h_graph, k)
+    colours, degree = _first_fit(holders)
+    rank = h_graph.rank()
+    if holders:
+        # the split keeps the rank, and H*'s max degree is the largest block
+        cap = rank * (max(map(len, blocks)) - 1)
+        if degree > cap:
+            raise InvariantBreach(
+                "line graph degree exceeded its cap", max_degree=degree, cap=cap
+            )
+    palette = k * rank + 1
     top = max(colours, default=0)
     if top > palette:
         raise InvariantBreach(

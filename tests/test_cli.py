@@ -137,7 +137,7 @@ def test_colour_linear_internal_breach_exit_3(tmp_path, monkeypatch, capsys):
     hgr = tmp_path / "in.hgr"
     out = tmp_path / "out.col"
     hgr.write_text(TRIANGLE)
-    monkeypatch.setattr(linearhg, "greedy_colour", lambda lg: (6,) * lg.n_nodes)
+    monkeypatch.setattr(linearhg, "_first_fit", lambda holders: ([6] * len(holders), 0))
     code = cli.main(
         ["colour", "--algorithm", "linear", "--k", "2", str(hgr), "-o", str(out)]
     )
@@ -477,6 +477,20 @@ def test_oracle_search_space_guard_exit_2(tmp_path):
     assert res.returncode == 2
     assert res.stderr.startswith("error: search space 2^")
     assert "Traceback" not in res.stderr
+    # a large palette counts as the m colours the search can try
+    res = run_cli("oracle", "--k", "2", "--palette", "100000", str(hgr))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: search space 3101^3101 ")
+
+
+def test_oracle_large_palette_on_few_edges_answers(tmp_path):
+    # two parallel edges at k=2 need two colours; the search tries
+    # min(palette, m) = 2 per edge, 4 states, whatever the palette
+    hgr = tmp_path / "in.hgr"
+    hgr.write_text("2 2\n1 2\n1 2\n")
+    res = run_cli("oracle", "--k", "2", "--palette", "100000", str(hgr))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "# palette 100000\n1\n2\n"
 
 
 def test_round_rejects_exponent_weights_exit_2(tmp_path):

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -375,31 +377,49 @@ def reference_parse(text):
 @st.composite
 def hgr_texts(draw):
     """HGR text of a random hypergraph (members in random order, so the
-    file order is not sorted), with up to three corruptions: a bad,
-    out-of-range or repeated token, empty, blank, extra or missing lines,
-    comments, a broken header, CRLF line ends, bytes instead of str."""
+    file order is not sorted), with ids spelled several ways (7, 07, 007,
+    +7) and tokens split by spaces or tabs, and up to three corruptions: a
+    bad, out-of-range or repeated token (a repeat may be spelled
+    differently, as in 2 02), bad tokens on two lines at once, empty,
+    blank, extra or missing lines, comments, a broken header. Lines end in
+    LF, CRLF, or another break that str.splitlines honours (FF, FS, U+2028),
+    and the text comes as str or bytes."""
     # ids up to 20 collide in a small set's hash table, where a frozenset's
     # iteration order depends on the order its members were added
     n = draw(st.integers(0, 20))
     edge = st.lists(st.integers(1, max(n, 1)), min_size=1, max_size=5, unique=True)
     edges = draw(st.lists(edge, max_size=8)) if n else []
-    lines = [f"{len(edges)} {n}"] + [" ".join(map(str, e)) for e in edges]
+    spelling = st.sampled_from(("", "", "0", "00", "+"))
+    spaced = st.sampled_from((" ", " ", "\t", " \t "))
+    lines = [f"{len(edges)} {n}"] + [
+        draw(spaced).join(draw(spelling) + str(v) for v in e) for e in edges
+    ]
+    bad = st.sampled_from(("x", "1.5", "-1", "0", str(n + 1), "+2", "1_0", "٣"))
+
+    def corrupt(at, tok):
+        toks = lines[at].split() or ["1"]
+        toks[draw(st.integers(0, len(toks) - 1))] = tok
+        lines[at] = " ".join(toks)
+
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(
-            ("token", "repeat", "empty", "blank", "extra", "missing", "comment", "header")
+            ("token", "repeat", "two", "empty", "blank", "extra", "missing", "comment", "header")
         ))
         at = draw(st.integers(1, len(lines)))
-        if kind in ("token", "repeat") and len(lines) > 1:
+        if kind == "token" and len(lines) > 1:
+            corrupt(min(at, len(lines) - 1), draw(bad))
+        elif kind == "two" and len(lines) > 2:
+            first, second = sorted(draw(st.sets(st.integers(1, len(lines) - 1), min_size=2, max_size=2)))
+            corrupt(first, draw(bad))
+            corrupt(second, draw(bad))
+        elif kind == "repeat" and len(lines) > 1:
             at = min(at, len(lines) - 1)
             toks = lines[at].split() or ["1"]
             i = draw(st.integers(0, len(toks) - 1))
-            if kind == "token":
-                toks[i] = draw(st.sampled_from(("x", "1.5", "-1", "0", str(n + 1), "+2", "1_0", "٣")))
-            else:
-                toks.insert(draw(st.integers(0, len(toks))), toks[i])
+            toks.insert(draw(st.integers(0, len(toks))), draw(spelling) + toks[i])
             lines[at] = " ".join(toks)
         elif kind in ("empty", "blank", "comment", "extra"):
-            text = {"empty": "", "blank": "   ", "comment": draw(st.sampled_from(("% c", "  %x 1 2")))}
+            text = {"empty": "", "blank": "   ", "comment": draw(st.sampled_from(("% c", "  %x 1 2", "\t%")))}
             lines.insert(at, text.get(kind, "1"))
         elif kind == "missing" and len(lines) > 1:
             del lines[at if at < len(lines) else 1]
@@ -408,7 +428,7 @@ def hgr_texts(draw):
                 ("", "3", "x 2", f"{len(edges)} {n} 1", f"-1 {n}", f"{len(edges) + 1} {n}",
                  f"{len(edges)} {MAX_VERTICES + 1}", f"{max(len(edges) - 1, 0)} {n}")
             ))
-    sep = draw(st.sampled_from(("\n", "\r\n")))
+    sep = draw(st.sampled_from(("\n", "\r\n", "\x0c", "\x1c", "\u2028")))
     text = sep.join(lines) + draw(st.sampled_from(("", sep, "  " + sep)))
     return text.encode() if draw(st.booleans()) else text
 
@@ -433,6 +453,20 @@ def test_parse_matches_reference_property(text):
     assert parse_outcome(parse_hypergraph, text) == parse_outcome(reference_parse, text)
 
 
+def test_parse_stops_at_the_first_extra_edge_line():
+    # a file far longer than its header says is refused without an edge
+    # built for every line: 100000 frozensets would take about 21 MB more
+    text = "1 2\n" + "1 2\n" * 100_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="^line 3: unexpected extra edge line"):
+            parse_hypergraph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 def test_trusted_build_indexes_like_the_constructor():
     edges = [(2, 0), (1,), (0, 1, 2), (1,)]
     public = Hypergraph(4, edges)
@@ -442,3 +476,51 @@ def test_trusted_build_indexes_like_the_constructor():
         assert h == public
         assert h.degrees() == public.degrees() == (2, 3, 2, 0)
         assert h.incidence() == public.incidence() == ((0, 2), (1, 2, 3), (0, 2), ())
+
+
+def reference_linearity_witness(h):
+    """The pair scan alone: the first edge whose vertex pair an earlier
+    edge already holds, with that earlier edge."""
+    seen = {}
+    for e, fs in enumerate(h.edges):
+        for pair in itertools.combinations(sorted(fs), 2):
+            if pair in seen:
+                return (seen[pair], e)
+            seen[pair] = e
+    return None
+
+
+@st.composite
+def near_linear_hypergraphs(draw):
+    """A random linear hypergraph (edges that would share a pair are
+    dropped), with repeated size-1 edges, and then up to two breaks: a
+    vertex of one edge added to another edge at a shared vertex, or an
+    edge of size >= 2 repeated."""
+    n = draw(st.integers(1, 14))
+    edges, pairs = [], set()
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True)
+    for members in draw(st.lists(edge, max_size=16)):
+        inside = set(itertools.combinations(sorted(members), 2))
+        if not inside & pairs:
+            pairs |= inside
+            edges.append(members)
+    edges += [[draw(st.integers(0, n - 1))] for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(0, 2))):
+        if not edges:
+            break
+        a = draw(st.integers(0, len(edges) - 1))
+        if draw(st.booleans()):
+            b = draw(st.integers(0, len(edges) - 1))
+            extra = [v for v in edges[b] if v not in edges[a]]
+            if extra and set(edges[a]) & set(edges[b]):
+                edges[a] = edges[a] + [draw(st.sampled_from(extra))]
+        elif len(edges[a]) >= 2:
+            edges.insert(draw(st.integers(0, len(edges))), list(edges[a]))
+    draw(st.randoms()).shuffle(edges)
+    return Hypergraph(n, edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_linear_hypergraphs())
+def test_linearity_witness_matches_pair_scan_property(h):
+    assert h.linearity_witness() == reference_linearity_witness(h)

@@ -256,9 +256,9 @@ def test_colour_linear_empty_hypergraph():
 
 
 def test_colour_linear_breach_when_greedy_overflows_palette(monkeypatch):
-    # a greedy step that ignored its degree bound would hand back a
+    # a first-fit step that ignored its degree bound would hand back a
     # colour beyond k*rank+1; the colourer must refuse it
-    monkeypatch.setattr(linearhg, "greedy_colour", lambda lg: (6,) * lg.n_nodes)
+    monkeypatch.setattr(linearhg, "_first_fit", lambda holders: ([6] * len(holders), 0))
     with pytest.raises(InvariantBreach) as exc:
         colour_linear(complete_graph(4), 2)
     assert exc.value.context == {"colour": 6, "palette": 5}
@@ -318,9 +318,11 @@ def reference_line_graph(h_star):
 def linear_cases(draw):
     """(h, k): generated linear and graph instances, and hand-made linear
     ones whose low-degree vertices are topped up with repeated size-1
-    edges; some keep an isolated vertex or a vertex below k^2 - k, which
-    the split must reject exactly as the reference does."""
-    k = draw(st.integers(2, 3))
+    edges, in some cases to a multiple of k (every block then holds k
+    edges, so the line-graph cap is rank * (k - 1)); some keep an
+    isolated vertex or a vertex below k^2 - k, which the split must
+    reject exactly as the reference does."""
+    k = draw(st.integers(2, 4))
     model = draw(st.sampled_from(("linear", "graph", "hand")))
     if model != "hand":
         r = 2 if model == "graph" else draw(st.integers(3, 4))
@@ -342,9 +344,13 @@ def linear_cases(draw):
         for v in e:
             degree[v] += 1
     skipped = draw(st.sets(st.integers(0, n - 1), max_size=1))
+    whole_blocks = draw(st.booleans())
     for v in range(n):
         if v not in skipped:
-            edges += [[v]] * max(0, k * k - k - degree[v] + draw(st.integers(0, 3)))
+            target = max(degree[v], k * k - k + draw(st.integers(0, 3)))
+            if whole_blocks:
+                target += -target % k
+            edges += [[v]] * (target - degree[v])
     draw(st.randoms()).shuffle(edges)
     return Hypergraph(n, edges), k
 
@@ -402,9 +408,10 @@ def test_colour_linear_golden_digest():
 def test_split_breach_sub_vertex_above_degree_k_plus_1(monkeypatch):
     # one block per vertex: sub-vertex degree d(u) = 4 in K5, one above k+1
     monkeypatch.setattr(linearhg, "_deal", lambda incident, k: VertexSplit(0, 1, (incident,)))
-    with pytest.raises(InvariantBreach, match="above degree k\\+1") as exc:
-        split_hypergraph(complete_graph(5), 2)
-    assert exc.value.context == {"max_degree": 4, "k": 2}
+    for run in (split_hypergraph, colour_linear):
+        with pytest.raises(InvariantBreach, match="above degree k\\+1") as exc:
+            run(complete_graph(5), 2)
+        assert exc.value.context == {"max_degree": 4, "k": 2}
 
 
 def test_split_breach_not_linear(monkeypatch):
@@ -418,10 +425,11 @@ def test_split_breach_not_linear(monkeypatch):
 
     monkeypatch.setattr(linearhg, "_deal", deal_twice)
     h = complete_graph(5)
-    with pytest.raises(InvariantBreach, match="not linear") as exc:
-        split_hypergraph(h, 2)
     first = real(h.incident_edges(0), 2).blocks[0]
-    assert exc.value.context == {"edges": first[:2], "sub_vertices": (0, 2)}
+    for run in (split_hypergraph, colour_linear):
+        with pytest.raises(InvariantBreach, match="not linear") as exc:
+            run(h, 2)
+        assert exc.value.context == {"edges": first[:2], "sub_vertices": (0, 2)}
 
 
 def test_split_breach_edge_size(monkeypatch):
@@ -433,7 +441,63 @@ def test_split_breach_edge_size(monkeypatch):
         return VertexSplit(split.m, split.t - 1, split.blocks[:-1])
 
     monkeypatch.setattr(linearhg, "_deal", drop_last)
-    with pytest.raises(InvariantBreach, match="size of an edge") as exc:
-        split_hypergraph(FANO, 2)
-    assert exc.value.context == {"edge": 0, "size": 3, "split_size": 0, "dealt": 0}
+    for run in (split_hypergraph, colour_linear):
+        with pytest.raises(InvariantBreach, match="size of an edge") as exc:
+            run(FANO, 2)
+        assert exc.value.context == {"edge": 0, "size": 3, "split_size": 0, "dealt": 0}
 
+
+def test_colour_linear_breach_when_line_graph_degree_passes_cap(monkeypatch):
+    # K4 at k=2 deals each vertex one block of 3 edges, so the cap is
+    # rank * (3 - 1) = 4; a neighbourhood count above it is refused
+    monkeypatch.setattr(linearhg, "_first_fit", lambda holders: ([1] * len(holders), 5))
+    with pytest.raises(InvariantBreach, match="line graph degree") as exc:
+        colour_linear(complete_graph(4), 2)
+    assert exc.value.context == {"max_degree": 5, "cap": 4}
+
+
+def colouring_outcome(colour, h, k):
+    try:
+        return colour(h, k)
+    except PreconditionError as exc:
+        return ("precondition", str(exc))
+
+
+def reference_colour_linear(h, k):
+    """The route spelled out: split, line graph, greedy in node order."""
+    h_star, _ = split_hypergraph(h, k)
+    return Colouring(greedy_colour(line_graph(h_star)), k * h.rank() + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_cases())
+def test_colour_linear_matches_line_graph_route_property(case):
+    h, k = case
+    assert colouring_outcome(colour_linear, h, k) == colouring_outcome(
+        reference_colour_linear, h, k
+    )
+
+
+def test_split_breach_edge_repeated_in_a_block(monkeypatch):
+    # vertex 0 of K5 deals its first edge twice into one block and vertex
+    # 1 leaves that edge out: every edge still has as many holders as
+    # vertices, but edge 0 has one distinct sub-vertex, not two
+    real = linearhg._deal
+    h = complete_graph(5)
+    first = h.incident_edges(0)[0]
+
+    def repeat_in_block(incident, k):
+        split = real(incident, k)
+        if incident == h.incident_edges(0):
+            a, b = split.blocks[0]
+            return VertexSplit(split.m, split.t + 1, ((a, a), (b,)) + split.blocks[1:])
+        if incident == h.incident_edges(1):
+            blocks = tuple(tuple(e for e in block if e != first) for block in split.blocks)
+            return VertexSplit(split.m, split.t, blocks)
+        return split
+
+    monkeypatch.setattr(linearhg, "_deal", repeat_in_block)
+    for run in (split_hypergraph, colour_linear):
+        with pytest.raises(InvariantBreach, match="size of an edge") as exc:
+            run(h, 2)
+        assert exc.value.context == {"edge": first, "size": 2, "split_size": 1, "dealt": 2}
