@@ -34,8 +34,12 @@ BRUTE_FORCE_LIMIT = 10**8
 
 GEN_MODELS = ("uniform", "linear", "graph", "regular")
 
-# consecutive rejected samples before gen_linear gives up
+# consecutive rejected samples before a gen_linear pass is a dead end
 LINEAR_RETRY_BUDGET = 10_000
+
+# greedy passes gen_linear makes, each from an empty instance, before it
+# gives up on an n/r/min_degree combination
+LINEAR_PASSES = 3
 
 # Generated instances hold at most this many vertex-edge incidences, the
 # generator counterpart of MAX_VERTICES: GenSpec rejects n * min_degree
@@ -212,9 +216,13 @@ def gen_linear(spec: GenSpec) -> Hypergraph:
     accepted edges would share a vertex pair.
 
     Rejects up front an n below the 1 + min_degree * (r - 1) vertices that
-    the edges at one vertex span, as they meet only there. Aborts with
-    GenerationError once LINEAR_RETRY_BUDGET consecutive samples are
-    rejected, which signals an infeasible n/r/min_degree combination.
+    the edges at one vertex span, as they meet only there. A pass whose
+    LINEAR_RETRY_BUDGET consecutive samples are all rejected is a dead end:
+    the greedy choice can strand a vertex below min_degree on a feasible
+    combination, so the next pass starts again from no edges, drawing on
+    from the same generator. Aborts with GenerationError once
+    LINEAR_PASSES passes dead-end, which signals an infeasible
+    n/r/min_degree combination.
     """
     if spec.r > spec.n:
         raise PreconditionError(f"r={spec.r} exceeds n={spec.n}")
@@ -225,6 +233,19 @@ def gen_linear(spec: GenSpec) -> Hypergraph:
             f"needs at least {span} vertices, got n={spec.n}"
         )
     rng = random.Random(spec.seed)
+    for _ in range(LINEAR_PASSES):
+        edges = _linear_pass(spec, rng)
+        if edges is not None:
+            return Hypergraph(spec.n, edges)
+    raise GenerationError(
+        f"retry budget exhausted after {LINEAR_RETRY_BUDGET + 1} consecutive rejects "
+        f"in each of {LINEAR_PASSES} passes; n={spec.n}, r={spec.r}, "
+        f"min_degree={spec.min_degree} looks infeasible"
+    )
+
+
+def _linear_pass(spec: GenSpec, rng: random.Random) -> Optional[list[list[int]]]:
+    """One greedy pass of gen_linear from no edges; None at a dead end."""
     vertices = list(range(spec.n))
     edges: list[list[int]] = []
     used_pairs: set[tuple[int, int]] = set()
@@ -247,10 +268,7 @@ def gen_linear(spec: GenSpec) -> Hypergraph:
         if any(p in used_pairs for p in itertools.combinations(members, 2)):
             rejects += 1
             if rejects > LINEAR_RETRY_BUDGET:
-                raise GenerationError(
-                    f"retry budget exhausted after {rejects} consecutive rejects; "
-                    f"n={spec.n}, r={spec.r}, min_degree={spec.min_degree} looks infeasible"
-                )
+                return None
             continue
         rejects = 0
         used_pairs.update(itertools.combinations(members, 2))
@@ -261,7 +279,7 @@ def gen_linear(spec: GenSpec) -> Hypergraph:
             deg[v] += 1
             if deg[v] == spec.min_degree:
                 below -= 1
-    return Hypergraph(spec.n, edges)
+    return edges
 
 
 def _over_incidence_limit(spec: GenSpec, m: int) -> GenerationError:

@@ -281,6 +281,16 @@ def test_gen_linear_infeasible_budget():
         generate(GenSpec(model="linear", n=5, r=3, min_degree=2, seed=0))
 
 
+def test_gen_linear_passes_again_after_a_dead_end():
+    # seed 143's first greedy pass strands a vertex at degree 1 on a
+    # feasible combination; a later pass reaches min_degree everywhere
+    spec = GenSpec(model="linear", n=14, r=4, min_degree=2, seed=143)
+    assert genlab._linear_pass(spec, random.Random(spec.seed)) is None
+    h = generate(spec)
+    assert h.linearity_witness() is None
+    assert h.min_degree() >= 2
+
+
 def test_gen_linear_rejects_too_few_vertices_up_front():
     # the min_degree edges at a vertex meet only there: 1 + d(r-1) vertices
     for n, r, d in ((4, 2, 10), (600, 600, 2), (6, 3, 3)):
