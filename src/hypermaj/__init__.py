@@ -26,7 +26,6 @@ from .genlab import (
     VerifyReport,
     Violation,
     brute_force,
-    complete_graph,
     generate,
     verify,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "brute_force",
     "colour_linear",
     "colour_partition",
-    "complete_graph",
     "generate",
     "greedy_colour",
     "inequalities_hold",

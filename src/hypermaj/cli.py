@@ -6,6 +6,8 @@ colouring, no oracle witness, no resampling trial succeeded: each was
 exhausted, or infeasible because some vertex has 0 < d(v) < k);
 2 malformed input or violated precondition; 3 internal error (an
 algorithm's own guarantee failed, which is a bug, not bad input).
+--k and --r above MAX_K_OR_R are usage errors (exit 2), refused before
+any input is read.
 
 Result lines are plain `key=value` text by default, or one JSON object
 per line with the same fields under --format json-lines. When colouring
@@ -42,6 +44,11 @@ from .partition import partition_rounds
 from .rounder import round_weights
 
 DEFAULT_SEED = 1729
+
+# Largest --k or --r accepted. Numbers derived from a larger one, such as
+# the palette k+1, the degree bound 2rk^2 or delta*, can pass Python's
+# 4300-digit limit on converting an int to text.
+MAX_K_OR_R = 2**31
 
 __all__ = ["DEFAULT_SEED", "main"]
 
@@ -367,9 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flag_scope(parser, args) -> None:
-    """Reject colour flags given for an algorithm that does not read them,
-    then fill in the random-lll defaults, which are None until here so
-    that a flag given with its default value still counts as given."""
+    """Reject a --k or --r above MAX_K_OR_R and colour flags given for an
+    algorithm that does not read them, then fill in the random-lll
+    defaults, which are None until here so that a flag given with its
+    default value still counts as given."""
+    for flag in ("k", "r"):
+        if getattr(args, flag, 0) > MAX_K_OR_R:
+            parser.error(f"--{flag} must be at most {MAX_K_OR_R}")
     if args.command != "colour":
         return
     if args.algorithm != "partition" and args.trace:

@@ -25,9 +25,7 @@ __all__ = [
     "generate",
     "gen_uniform",
     "gen_linear",
-    "gen_graph",
     "gen_regular",
-    "complete_graph",
 ]
 
 BRUTE_FORCE_LIMIT = 10**8
@@ -143,7 +141,11 @@ def brute_force(h: Hypergraph, k: int, palette: int) -> Optional[Colouring]:
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Parameters of a seeded random instance."""
+    """Parameters of a seeded random instance. Construction checks every
+    precondition of the model, so a generator only samples: n, r and
+    min_degree in range, the incidence limit, then graph's r = 2, r <= n,
+    linear and graph's span 1 + min_degree * (r - 1) <= n (the edges at
+    one vertex meet only there), and regular's r | n."""
 
     model: str
     n: int
@@ -173,16 +175,28 @@ class GenSpec:
                 f"n * min_degree = {self.n * self.min_degree} exceeds the "
                 f"incidence limit of {MAX_GEN_INCIDENCES}"
             )
+        if self.model == "graph" and self.r != 2:
+            raise PreconditionError(f"graph model requires r=2, got r={self.r}")
+        if self.r > self.n:
+            raise PreconditionError(f"r={self.r} exceeds n={self.n}")
+        span = 1 + self.min_degree * (self.r - 1)
+        if self.model in ("linear", "graph") and span > self.n:
+            raise PreconditionError(
+                f"a linear {self.r}-uniform instance at min_degree={self.min_degree} "
+                f"needs at least {span} vertices, got n={self.n}"
+            )
+        if self.model == "regular" and self.n % self.r != 0:
+            raise PreconditionError(
+                f"regular model requires r to divide n; got n={self.n}, r={self.r}"
+            )
 
 
 def generate(spec: GenSpec) -> Hypergraph:
     if spec.model == "uniform":
         return gen_uniform(spec)
-    if spec.model == "linear":
-        return gen_linear(spec)
-    if spec.model == "graph":
-        return gen_graph(spec)
-    return gen_regular(spec)
+    if spec.model == "regular":
+        return gen_regular(spec)
+    return gen_linear(spec)  # a graph is a linear instance at r = 2
 
 
 def gen_uniform(spec: GenSpec) -> Hypergraph:
@@ -191,8 +205,6 @@ def gen_uniform(spec: GenSpec) -> Hypergraph:
     Duplicate edges can occur; callers needing simplicity should use the
     linear or graph models.
     """
-    if spec.r > spec.n:
-        raise PreconditionError(f"r={spec.r} exceeds n={spec.n}")
     rng = random.Random(spec.seed)
     vertices = list(range(spec.n))
     edges: list[list[int]] = []
@@ -212,26 +224,18 @@ def gen_uniform(spec: GenSpec) -> Hypergraph:
 
 
 def gen_linear(spec: GenSpec) -> Hypergraph:
-    """Greedy linear instance: sampled r-subsets kept only when no two
-    accepted edges would share a vertex pair.
+    """Greedy linear instance, for the linear and graph models: sampled
+    r-subsets kept only when no two accepted edges would share a vertex
+    pair. GenSpec has already refused an n below the 1 + min_degree *
+    (r - 1) vertices that the edges at one vertex span.
 
-    Rejects up front an n below the 1 + min_degree * (r - 1) vertices that
-    the edges at one vertex span, as they meet only there. A pass whose
-    LINEAR_RETRY_BUDGET consecutive samples are all rejected is a dead end:
-    the greedy choice can strand a vertex below min_degree on a feasible
-    combination, so the next pass starts again from no edges, drawing on
-    from the same generator. Aborts with GenerationError once
-    LINEAR_PASSES passes dead-end, which signals an infeasible
+    A pass whose LINEAR_RETRY_BUDGET consecutive samples are all rejected
+    is a dead end: the greedy choice can strand a vertex below min_degree
+    on a feasible combination, so the next pass starts again from no
+    edges, drawing on from the same generator. Aborts with GenerationError
+    once LINEAR_PASSES passes dead-end, which signals an infeasible
     n/r/min_degree combination.
     """
-    if spec.r > spec.n:
-        raise PreconditionError(f"r={spec.r} exceeds n={spec.n}")
-    span = 1 + spec.min_degree * (spec.r - 1)
-    if spec.min_degree and span > spec.n:
-        raise PreconditionError(
-            f"a linear {spec.r}-uniform instance at min_degree={spec.min_degree} "
-            f"needs at least {span} vertices, got n={spec.n}"
-        )
     rng = random.Random(spec.seed)
     for _ in range(LINEAR_PASSES):
         edges = _linear_pass(spec, rng)
@@ -290,25 +294,13 @@ def _over_incidence_limit(spec: GenSpec, m: int) -> GenerationError:
     )
 
 
-def gen_graph(spec: GenSpec) -> Hypergraph:
-    """Random simple graph with the requested minimum degree (r must be 2)."""
-    if spec.r != 2:
-        raise PreconditionError(f"graph model requires r=2, got r={spec.r}")
-    return gen_linear(spec)
-
-
 def gen_regular(spec: GenSpec) -> Hypergraph:
     """Exactly min_degree-regular r-uniform instance via permutation rounds.
 
     Each round shuffles the vertices and chops them into n/r blocks, adding
-    one to every degree; requires r to divide n. Duplicate edges can occur.
+    one to every degree; GenSpec has checked that r divides n. Duplicate
+    edges can occur.
     """
-    if spec.r > spec.n:
-        raise PreconditionError(f"r={spec.r} exceeds n={spec.n}")
-    if spec.n % spec.r != 0:
-        raise PreconditionError(
-            f"regular model requires r to divide n; got n={spec.n}, r={spec.r}"
-        )
     rng = random.Random(spec.seed)
     edges = []
     for _ in range(spec.min_degree):
@@ -317,8 +309,3 @@ def gen_regular(spec: GenSpec) -> Hypergraph:
         for i in range(0, spec.n, spec.r):
             edges.append(perm[i : i + spec.r])
     return Hypergraph(spec.n, edges)
-
-
-def complete_graph(n: int) -> Hypergraph:
-    """K_n as a rank-2 hypergraph; every vertex has degree n-1."""
-    return Hypergraph(n, list(itertools.combinations(range(n), 2)))

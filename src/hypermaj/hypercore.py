@@ -17,17 +17,17 @@ of ids in [0, n_vertices); incidence lists ascending) are checked once,
 where the edges come from:
     Hypergraph(n, edges)   the public constructor validates everything,
                            for generators, tests and library users;
-    parse_hypergraph       checks the edge lines in bulk (each distinct
-                           token converted and range-checked once, a
-                           line's frozenset as long as its token list,
-                           the declared edge count), then builds without
-                           checking again; only a file that fails a bulk
-                           check is read token by token, to name its
-                           first faulty line;
+    parse_hypergraph       checks the edge lines in one numbered scan
+                           (each distinct token converted and
+                           range-checked once, a line's frozenset as long
+                           as its token list, the declared edge count);
+                           only a line it refuses is read token by token,
+                           to name its first fault;
     split_hypergraph       builds H* from the sub-vertex blocks it deals
                            and certifies H* itself (linearhg).
-The last two go through the private Hypergraph._trusted, which indexes
-without validating; nothing else may call it.
+The last two go through the private Hypergraph._trusted, which takes
+edges that already hold every invariant, builds the incidence lists from
+them and validates nothing; nothing else may call it.
 
 Colouring files hold one integer colour per line (line i = colour of edge i)
 with an optional ``# palette <C>`` header. Weights files hold one rational
@@ -39,9 +39,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NoReturn, Optional
+from typing import Iterable, Optional
 
-from .errors import FormatError, InvariantBreach
+from .errors import FormatError
 
 __all__ = [
     "MAX_VERTICES",
@@ -85,37 +85,25 @@ class Hypergraph:
         self._index(n_vertices, norm)
 
     @classmethod
-    def _trusted(
-        cls,
-        n_vertices: int,
-        edges: list[frozenset[int]],
-        incidence: Optional[list[tuple[int, ...]]] = None,
-    ) -> "Hypergraph":
+    def _trusted(cls, n_vertices: int, edges: list[frozenset[int]]) -> "Hypergraph":
         """A Hypergraph from edges that already satisfy every invariant
         the constructor checks (n_vertices >= 0; each edge a non-empty
-        frozenset of ids in range). incidence, when given, must list each
-        vertex's edge ids in ascending order. Private: only parse_hypergraph
-        and split_hypergraph, which establish the invariants themselves,
-        may call it."""
+        frozenset of ids in range). Private: only parse_hypergraph and
+        split_hypergraph, which establish the invariants themselves, may
+        call it."""
         h = cls.__new__(cls)
-        h._index(n_vertices, edges, incidence)
+        h._index(n_vertices, edges)
         return h
 
-    def _index(
-        self,
-        n_vertices: int,
-        edges: list[frozenset[int]],
-        incidence: Optional[list[tuple[int, ...]]] = None,
-    ) -> None:
+    def _index(self, n_vertices: int, edges: list[frozenset[int]]) -> None:
         # The one indexing routine behind both entry points. Tuples are
         # built from lists, never from generators: CPython grows a
         # tuple(generator) by resizing, and the resized blocks pile up on
         # other sizes' free lists.
-        if incidence is None:
-            incidence = [[] for _ in range(n_vertices)]
-            for e, fs in enumerate(edges):
-                for v in fs:
-                    incidence[v].append(e)
+        incidence: list[list[int]] = [[] for _ in range(n_vertices)]
+        for e, fs in enumerate(edges):
+            for v in fs:
+                incidence[v].append(e)
         object.__setattr__(self, "n_vertices", n_vertices)
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "_incidence", tuple([tuple(lst) for lst in incidence]))
@@ -287,71 +275,54 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
         raise FormatError(
             head_no, f"vertex count {n_vertices} exceeds the limit of {MAX_VERTICES}"
         )
-    edges = _edges_in_bulk(itertools.islice(lines, head_no, None), n_edges, n_vertices)
-    if edges is None:
-        _raise_edge_error(lines, head_no, n_edges, n_vertices)
-    return Hypergraph._trusted(n_vertices, edges)
-
-
-def _edges_in_bulk(
-    lines: Iterable[str], n_edges: int, n_vertices: int
-) -> Optional[list[frozenset[int]]]:
-    """The edges of the lines after the header, or None at the first line
-    that breaks a rule: a token that is no id in range, an empty line, a
-    repeated id (the line's frozenset is shorter than its tokens), more
-    edge lines than the header declared, or fewer."""
     ids = _VertexIds(n_vertices)
     lookup = ids.__getitem__
     edges: list[frozenset[int]] = []
-    for toks in map(str.split, lines):
+    last_no = head_no  # the last edge line read
+    for no, toks in enumerate(map(str.split, itertools.islice(lines, head_no, None)), head_no + 1):
         if toks and toks[0].startswith("%"):
             continue
-        if len(edges) == n_edges:
-            return None
         try:
             # members in file order: a frozenset's iteration order can
             # depend on insertion order, and the rounder and resampler
             # follow it
             fs = frozenset(map(lookup, toks))
         except ValueError:
-            return None
-        if not fs or len(fs) != len(toks):
-            return None
+            fs = frozenset()
+        # an empty fs is an empty line or a token that is no id in range;
+        # one shorter than its tokens holds a repeated id
+        if not fs or len(fs) != len(toks) or len(edges) == n_edges:
+            raise _edge_line_error(no, toks, len(edges), n_edges, n_vertices)
         edges.append(fs)
-    return edges if len(edges) == n_edges else None
-
-
-def _raise_edge_error(
-    lines: list[str], head_no: int, n_edges: int, n_vertices: int
-) -> NoReturn:
-    """Read the edge lines that _edges_in_bulk refused token by token, and
-    raise the FormatError of the first faulty one."""
-    n_read = 0
-    last_no = head_no
-    for no, line in enumerate(itertools.islice(lines, head_no, None), head_no + 1):
-        line = line.strip()
-        if line.startswith("%"):
-            continue
         last_no = no
-        if not line:
-            raise FormatError(no, "empty edge line")
-        if n_read == n_edges:
-            raise FormatError(no, f"unexpected extra edge line; header declared {n_edges} edges")
-        seen: set[int] = set()
-        for tok in line.split():
-            try:
-                v = int(tok)
-            except ValueError:
-                raise FormatError(no, f"invalid vertex-id {tok!r}") from None
-            if not 1 <= v <= n_vertices:
-                raise FormatError(no, f"vertex-id {v} out of range [1, {n_vertices}]")
-            if v in seen:
-                raise FormatError(no, f"duplicate vertex {v} in edge")
-            seen.add(v)
-        n_read += 1
-    if n_read != n_edges:
-        raise FormatError(last_no, f"expected {n_edges} edges, found {n_read}")
-    raise InvariantBreach("bulk edge check refused a file the token scan accepts")
+    if len(edges) != n_edges:
+        raise FormatError(last_no, f"expected {n_edges} edges, found {len(edges)}")
+    return Hypergraph._trusted(n_vertices, edges)
+
+
+def _edge_line_error(
+    no: int, toks: list[str], n_read: int, n_edges: int, n_vertices: int
+) -> FormatError:
+    """The FormatError of edge line no, which parse_hypergraph refused
+    after n_read edges: an empty line, then a line past the declared
+    count, then its first faulty token in line order."""
+    if not toks:
+        return FormatError(no, "empty edge line")
+    if n_read == n_edges:
+        return FormatError(no, f"unexpected extra edge line; header declared {n_edges} edges")
+    seen: set[int] = set()
+    for tok in toks:
+        try:
+            v = int(tok)
+        except ValueError:
+            return FormatError(no, f"invalid vertex-id {tok!r}")
+        if not 1 <= v <= n_vertices:
+            return FormatError(no, f"vertex-id {v} out of range [1, {n_vertices}]")
+        if v in seen:
+            break
+        seen.add(v)
+    # a refused line of ids that are all in range repeats one
+    return FormatError(no, f"duplicate vertex {v} in edge")
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:

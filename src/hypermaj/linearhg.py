@@ -174,7 +174,7 @@ def split_hypergraph(
     all vertices before u."""
     splits, blocks, _ = _split(h_graph, k)
     members = _sub_vertices(blocks, len(h_graph.edges))
-    h_star = Hypergraph._trusted(len(blocks), [frozenset(ms) for ms in members], blocks)
+    h_star = Hypergraph._trusted(len(blocks), [frozenset(ms) for ms in members])
     return h_star, tuple(splits)
 
 

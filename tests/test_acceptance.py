@@ -16,7 +16,7 @@ from random import Random
 
 import pytest
 
-from hypermaj.genlab import GenSpec, brute_force, complete_graph, generate, verify
+from hypermaj.genlab import GenSpec, brute_force, generate, verify
 from hypermaj.hypercore import Colouring, Hypergraph, serialize_colouring
 from hypermaj.linearhg import colour_linear, greedy_colour, line_graph, split_hypergraph
 from hypermaj.lll import (
@@ -28,6 +28,11 @@ from hypermaj.lll import (
 from hypermaj.partition import colour_partition
 from hypermaj.rounder import round_weights
 from hypermaj.errors import PreconditionError
+
+
+def complete_graph(n):
+    """K_n as a rank-2 hypergraph; every vertex has degree n-1."""
+    return Hypergraph(n, list(itertools.combinations(range(n), 2)))
 
 
 def _report(cid, ok, detail):

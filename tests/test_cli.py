@@ -469,6 +469,50 @@ def test_hostile_k_or_palette_allocates_no_table_of_that_size(tmp_path, argv, te
     assert size < 2**24  # tables of --k or --palette entries would take 160 MB
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        # the palette k+1 would pass Python's 4300-digit int-to-str limit
+        (["colour", "IN", "--algorithm", "partition", "--k", "9" * 4300], "0 0\n"),
+        (["colour", "IN", "--algorithm", "random-lll", "--k", "9" * 4300], "0 0\n"),
+        # so would the degree bounds 2rk^2 and k^2 - k in their messages
+        (["colour", "IN", "--algorithm", "partition", "--k", str(10**2200)], "1 3\n1 2 3\n"),
+        (["colour", "IN", "--algorithm", "linear", "--k", str(10**2200)], "1 3\n1 2 3\n"),
+        # and delta*
+        (["threshold", "--k", str(10**1500), "--r", "2"], None),
+    ],
+)
+def test_k_above_bound_exit_2_before_any_work(tmp_path, capsys, argv, text):
+    hgr = tmp_path / "in.hgr"
+    if text is not None:
+        hgr.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([str(hgr) if a == "IN" else a for a in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: hypermaj")
+    assert err.endswith(f"error: --k must be at most {cli.MAX_K_OR_R}\n")
+
+
+def test_k_and_r_bound(capsys):
+    bound = str(cli.MAX_K_OR_R)
+    assert cli.main(["threshold", "--k", bound, "--r", bound]) == 0
+    assert capsys.readouterr().out.startswith(f"threshold k={bound} r={bound} delta_star=")
+    over = str(cli.MAX_K_OR_R + 1)
+    for argv in (
+        ["threshold", "--k", "2", "--r", over],
+        ["generate", "--model", "uniform", "--n", "3", "--r", over, "--min-degree", "1"],
+        ["verify", "IN", "COLOURS", "--k", over],
+        ["oracle", "IN", "--k", over, "--palette", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        flag = "--r" if "--r" in argv else "--k"
+        assert capsys.readouterr().err.endswith(f"error: {flag} must be at most {bound}\n")
+
+
 def test_oracle_search_space_guard_exit_2(tmp_path):
     # palette 1 once slipped past the guard (1**m) into a RecursionError
     hgr = tmp_path / "in.hgr"
@@ -589,7 +633,7 @@ def fuzz_argvs(draw):
         return draw(st.sampled_from(invalid if out else valid))
 
     def small():
-        return pick(("2", "3", "4"), ("-1", "0", "1", "5", "x", "2.5"))
+        return pick(("2", "3", "4"), ("-1", "0", "1", "5", "x", "2.5", "9" * 4300, str(10**1500)))
 
     commands = ("colour",) * 4 + ("verify", "round", "threshold", "generate", "oracle")
     command = draw(st.sampled_from(commands))

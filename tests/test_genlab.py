@@ -11,7 +11,6 @@ from hypermaj.genlab import (
     GenSpec,
     Violation,
     brute_force,
-    complete_graph,
     gen_regular,
     generate,
     verify,
@@ -182,6 +181,24 @@ def test_genspec_validation():
         GenSpec(model="uniform", n=0, r=2, min_degree=1, seed=0)
     with pytest.raises(ValueError):
         GenSpec(model="uniform", n=5, r=2, min_degree=-1, seed=0)
+    # each model's own rule is refused by the spec itself, before sampling;
+    # graph's r = 2 comes first, so n=2, r=3 is not "r=3 exceeds n=2"
+    for spec, message in (
+        (("graph", 2, 3, 1, 0), "graph model requires r=2, got r=3"),
+        (("graph", 1, 2, 0, 0), "r=2 exceeds n=1"),
+        (("uniform", 3, 4, 1, 0), "r=4 exceeds n=3"),
+        (("linear", 3, 4, 0, 0), "r=4 exceeds n=3"),
+        (("regular", 3, 4, 1, 0), "r=4 exceeds n=3"),
+        (("linear", 6, 3, 3, 0), "a linear 3-uniform instance at min_degree=3 needs at least 7 vertices, got n=6"),
+        (("graph", 4, 2, 10, 0), "a linear 2-uniform instance at min_degree=10 needs at least 11 vertices, got n=4"),
+        (("regular", 10, 3, 2, 0), "regular model requires r to divide n; got n=10, r=3"),
+    ):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            GenSpec(*spec)
+    # the span and divisibility rules are their models' alone
+    GenSpec("uniform", 6, 3, 3, 0)
+    GenSpec("regular", 6, 3, 3, 0)
+    GenSpec("uniform", 10, 3, 2, 0)
 
 
 def test_genspec_rejects_vertex_count_over_limit():
@@ -335,11 +352,3 @@ def test_gen_regular_posts():
 def test_gen_regular_requires_divisibility():
     with pytest.raises(PreconditionError):
         generate(GenSpec(model="regular", n=10, r=3, min_degree=2, seed=0))
-
-
-def test_complete_graph():
-    h = complete_graph(5)
-    assert len(h.edges) == 10
-    assert all(d == 4 for d in h.degrees())
-    assert h.linearity_witness() is None
-    assert h.rank() == 2

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from hypermaj import cli, linearhg
 from hypermaj.errors import InvariantBreach, PreconditionError
-from hypermaj.genlab import GenSpec, complete_graph, generate, verify
+from hypermaj.genlab import GenSpec, generate, verify
 from hypermaj.hypercore import Colouring, Hypergraph, serialize_colouring
 from hypermaj.linearhg import (
     LineGraph,
@@ -17,6 +18,12 @@ from hypermaj.linearhg import (
     line_graph,
     split_hypergraph,
 )
+
+
+def complete_graph(n):
+    """K_n as a rank-2 hypergraph; every vertex has degree n-1."""
+    return Hypergraph(n, list(itertools.combinations(range(n), 2)))
+
 
 FANO = Hypergraph(
     7,

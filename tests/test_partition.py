@@ -1,11 +1,12 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from hypermaj.errors import InvariantBreach, PreconditionError
-from hypermaj.genlab import GenSpec, complete_graph, generate, verify
+from hypermaj.genlab import GenSpec, generate, verify
 from hypermaj.hypercore import Hypergraph, serialize_colouring
 from hypermaj.partition import (
     alpha_schedule,
@@ -15,6 +16,11 @@ from hypermaj.partition import (
 )
 
 F = Fraction
+
+
+def complete_graph(n):
+    """K_n as a rank-2 hypergraph; every vertex has degree n-1."""
+    return Hypergraph(n, list(itertools.combinations(range(n), 2)))
 
 
 def test_alpha_first_round():
