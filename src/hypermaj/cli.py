@@ -7,7 +7,8 @@ exhausted, or infeasible because some vertex has 0 < d(v) < k);
 2 malformed input or violated precondition; 3 internal error (an
 algorithm's own guarantee failed, which is a bug, not bad input).
 --k and --r above MAX_K_OR_R are usage errors (exit 2), refused before
-any input is read.
+any input is read; so are colour's --seed above MAX_SEED and --trials
+above MAX_TRIALS.
 
 Result lines are plain `key=value` text by default, or one JSON object
 per line with the same fields under --format json-lines. When colouring
@@ -49,6 +50,16 @@ DEFAULT_SEED = 1729
 # the palette k+1, the degree bound 2rk^2 or delta*, can pass Python's
 # 4300-digit limit on converting an int to text.
 MAX_K_OR_R = 2**31
+
+# Largest first trial seed of colour --algorithm random-lll. Every trial
+# prints its seed, and a seed past the 4300-digit limit could not be
+# printed.
+MAX_SEED = 2**64
+
+# Most trials in one colour --algorithm random-lll call. A report row is
+# kept per trial until the colouring has been delivered, so this also
+# bounds the memory those rows take.
+MAX_TRIALS = 10**4
 
 __all__ = ["DEFAULT_SEED", "main"]
 
@@ -377,7 +388,7 @@ def _check_flag_scope(parser, args) -> None:
     """Reject a --k or --r above MAX_K_OR_R and colour flags given for an
     algorithm that does not read them, then fill in the random-lll
     defaults, which are None until here so that a flag given with its
-    default value still counts as given."""
+    default value still counts as given, and bound --seed and --trials."""
     for flag in ("k", "r"):
         if getattr(args, flag, 0) > MAX_K_OR_R:
             parser.error(f"--{flag} must be at most {MAX_K_OR_R}")
@@ -398,6 +409,10 @@ def _check_flag_scope(parser, args) -> None:
     args.trials = 1 if args.trials is None else args.trials
     if args.trials < 1:
         parser.error("--trials must be at least 1")
+    if args.trials > MAX_TRIALS:
+        parser.error(f"--trials must be at most {MAX_TRIALS}")
+    if args.seed > MAX_SEED:
+        parser.error(f"--seed must be at most {MAX_SEED}")
     if args.max_rounds is not None and args.max_rounds < 0:
         parser.error(f"--max-rounds must be non-negative, got {args.max_rounds}")
 

@@ -13,20 +13,32 @@ rank. The route:
      ids untouched). No colour repeats at a sub-vertex, so at each
      original vertex u a colour appears at most t_u times.
 
-colour_linear does steps 2 and 3 in one pass over the split's blocks:
-block j of vertex u is the incidence of one sub-vertex, so an edge's
-line-graph neighbours are the union of the blocks it was dealt to, and
-neither H* nor the line graph is built. split_hypergraph, line_graph and
-greedy_colour stay public as the reference construction of the same
-route, and the CLI's --emit-split prints split_hypergraph's blocks.
+colour_linear does steps 2 and 3 in one pass in ascending edge order,
+with a cursor per vertex u instead of H* or the line graph. Block j of
+u is the incidence of one sub-vertex, and since the dealing cuts u's
+ascending incidence into consecutive runs, the cursor needs only the
+block lengths: the edges left in u's current block, a bit mask of the
+colours that block already holds, and the lengths still to come. An
+edge e takes the lowest colour missing from the OR of its vertices'
+masks; the blocks of e hold only earlier edges at that point, so this
+is exactly the set first-fit on the line graph reads. split_hypergraph,
+line_graph and greedy_colour stay public as the reference construction
+of the same route, and the CLI's --emit-split prints split_hypergraph's
+blocks.
 
-The split's guarantees are certified from the blocks, with nothing
+split_hypergraph certifies the split from the blocks, with nothing
 re-derived or re-validated: every block holds at most k+1 edges; no
 edge pair occurs in two blocks (two edges sharing two sub-vertices would
 put their pair in both), so H* is linear; and every edge gets as many
 distinct sub-vertices as it has vertices, so sizes and the rank are
-unchanged. colour_linear also checks the line-graph degree against
-rank * (largest block - 1) and the colours against the palette.
+unchanged. colour_linear checks only what its cursor reads: every block
+length lies in 1..k+1 and each vertex's lengths add up to its degree.
+Those runs give every edge one sub-vertex per vertex, and H* is linear
+because the input is. When that check fails, the full certification
+runs to name the fault, and a fault it accepts (an empty block, say)
+is a breach of colour_linear's own. colour_linear also checks the
+line-graph degree against rank * (largest block - 1) and the colours
+against the palette.
 
 Determinism: incident edges are dealt to sub-vertices in ascending
 edge-id order, and first-fit also runs in ascending edge order.
@@ -85,15 +97,9 @@ def _deal(incident: tuple[int, ...], k: int) -> VertexSplit:
     return VertexSplit(m, t, (*islice(zip(*[it] * (k + 1)), m), *zip(*[it] * k)))
 
 
-def _split(
-    h_graph: Hypergraph, k: int
-) -> tuple[list[VertexSplit], list[tuple[int, ...]], list[list[tuple[int, ...]]]]:
-    """The split behind split_hypergraph and colour_linear: check the
-    preconditions, deal every vertex, and certify H* from the blocks.
-
-    Returns the VertexSplits, the blocks (block s is the incidence of
-    sub-vertex s) and, per edge, the blocks it was dealt to in sub-vertex
-    order."""
+def _check_splittable(h_graph: Hypergraph, k: int) -> None:
+    """The split's preconditions: k >= 2, a linear input and minimum
+    degree at least k^2 - k."""
     if k < 2:
         raise PreconditionError(f"k must be at least 2, got {k}")
     witness = h_graph.linearity_witness()
@@ -107,16 +113,28 @@ def _split(
         raise PreconditionError(
             f"min degree {delta} below k^2 - k = {k * k - k} for k = {k}"
         )
+
+
+def _split(
+    h_graph: Hypergraph, k: int
+) -> tuple[list[VertexSplit], list[tuple[int, ...]], list[list[int]]]:
+    """The split behind split_hypergraph: check the preconditions, deal
+    every vertex, and certify H* from the blocks.
+
+    Returns the VertexSplits, the blocks (block s is the incidence of
+    sub-vertex s) and, per edge, the ids of the sub-vertices it was dealt
+    to in ascending order."""
+    _check_splittable(h_graph, k)
     edges = h_graph.edges
     splits = [_deal(incident, k) for incident in h_graph.incidence()]
     # Sub-vertices are numbered vertex by vertex, so the s-th block overall
     # is the incidence of sub-vertex s; an edge pair seen in two blocks is
     # two edges sharing two sub-vertices.
     blocks = [block for split in splits for block in split.blocks]
-    holders: list[list[tuple[int, ...]]] = [[] for _ in edges]
-    for block in blocks:
+    members: list[list[int]] = [[] for _ in edges]
+    for s, block in enumerate(blocks):
         for e in block:
-            holders[e].append(block)
+            members[e].append(s)
     pairs = list(chain.from_iterable(map(combinations, blocks, repeat(2))))
     if len(set(pairs)) != len(pairs):
         first: dict[tuple[int, int], int] = {}
@@ -137,8 +155,7 @@ def _split(
     # |e| distinct sub-vertices per edge also keeps the rank; a sub-vertex
     # repeated in an edge's list is an edge repeated in a block, which
     # gives the pair (e, e)
-    if list(map(len, holders)) != list(map(len, edges)) or any(starmap(eq, pairs)):
-        members = _sub_vertices(blocks, len(edges))
+    if list(map(len, members)) != list(map(len, edges)) or any(starmap(eq, pairs)):
         for e, (fs, ms) in enumerate(zip(edges, members)):
             sub = len(frozenset(ms))
             if not len(fs) == len(ms) == sub:
@@ -149,17 +166,7 @@ def _split(
                     split_size=sub,
                     dealt=len(ms),
                 )
-    return splits, blocks, holders
-
-
-def _sub_vertices(blocks: list[tuple[int, ...]], n_edges: int) -> list[list[int]]:
-    """Each edge's sub-vertex ids in ascending order: the s of every
-    block s it was dealt to."""
-    members: list[list[int]] = [[] for _ in range(n_edges)]
-    for s, block in enumerate(blocks):
-        for e in block:
-            members[e].append(s)
-    return members
+    return splits, blocks, members
 
 
 def split_hypergraph(
@@ -172,8 +179,7 @@ def split_hypergraph(
     Returns H* and one VertexSplit per vertex. Sub-vertices are numbered
     vertex by vertex, so sub-vertex j of u has global id j plus the t of
     all vertices before u."""
-    splits, blocks, _ = _split(h_graph, k)
-    members = _sub_vertices(blocks, len(h_graph.edges))
+    splits, blocks, members = _split(h_graph, k)
     h_star = Hypergraph._trusted(len(blocks), [frozenset(ms) for ms in members])
     return h_star, tuple(splits)
 
@@ -214,37 +220,75 @@ def greedy_colour(lg: LineGraph) -> tuple[int, ...]:
     return tuple(colours)
 
 
-def _first_fit(holders: list[list[tuple[int, ...]]]) -> tuple[list[int], int]:
-    """greedy_colour(line_graph(H*)) read straight off the split: the
-    neighbourhood N(e) of edge e, e included, is the union of the blocks
-    it was dealt to, and e takes the least colour >= 1 unused in N(e).
-    Edges after e still hold 0 there, so only earlier ones count. Returns
-    the colours and the line graph's max degree, max |N(e)| - 1."""
-    colours = [0] * len(holders)
-    colour_of = colours.__getitem__
+def _cursor_fit(
+    edges: tuple[frozenset[int], ...], lengths: list[tuple[int, ...]]
+) -> tuple[list[int], int]:
+    """greedy_colour(line_graph(H*)) for the H* whose sub-vertices are
+    runs of each vertex's ascending incidence, lengths[u] long.
+
+    One pass in ascending edge order with a cursor per vertex u: the
+    edges left in its current block, a bit mask of the colours that block
+    already holds (bit c - 1 for colour c) and an iterator over the block
+    lengths still to come. The blocks of e hold only earlier edges, so
+    the OR of their masks is the set first-fit reads, and e takes its
+    lowest clear bit. Returns the colours and the line graph's max degree:
+    sum(block length - 1) over e's blocks is |N(e)| - 1 when H* is linear,
+    N(e) being the edges sharing a sub-vertex with e, e included."""
+    coming = list(map(iter, lengths))
+    size = [next(it, 0) for it in coming]
+    left = size[:]
+    mask = [0] * len(lengths)
+    colours = [0] * len(edges)
     top = 0
-    for e, held in enumerate(holders):
-        nb = set().union(*held)
-        used = set(map(colour_of, nb))
-        c = 1
-        while c in used:
-            c += 1
-        colours[e] = c
-        if len(nb) > top:
-            top = len(nb)
-    return colours, top - 1
+    for e, fs in enumerate(edges):
+        used = 0
+        degree = -len(fs)
+        for u in fs:
+            used |= mask[u]
+            degree += size[u]
+        bit = ~used & (used + 1)
+        colours[e] = bit.bit_length()
+        if degree > top:
+            top = degree
+        for u in fs:
+            n = left[u] - 1
+            if n:
+                left[u] = n
+                mask[u] |= bit
+            else:
+                left[u] = size[u] = next(coming[u], 0)
+                mask[u] = 0
+    return colours, top
 
 
 def colour_linear(h_graph: Hypergraph, k: int) -> Colouring:
     """Colouring with palette k*rank+1 in which every vertex u sees each
     colour at most floor(d(u)/k) times. Input must be linear with
     minimum degree at least k^2 - k."""
-    _, blocks, holders = _split(h_graph, k)
-    colours, degree = _first_fit(holders)
+    _check_splittable(h_graph, k)
+    degrees = h_graph.degrees()
+    lengths = [tuple(map(len, _deal(incident, k).blocks)) for incident in h_graph.incidence()]
+    sizes = list(chain.from_iterable(lengths))
+    largest = max(sizes, default=0)
+    # The cursor walks runs of 1 to k+1 edges that cover each incidence;
+    # blocks that do not are a fault in the dealing, named by the full
+    # certification when it is one that it knows.
+    if 0 in sizes or largest > k + 1 or tuple(map(sum, lengths)) != degrees:
+        _split(h_graph, k)
+        u = next(
+            u for u, ls in enumerate(lengths) if 0 in ls or sum(ls) != degrees[u]
+        )
+        raise InvariantBreach(
+            "split blocks are not runs covering the incidence",
+            vertex=u,
+            block_sizes=lengths[u],
+            degree=degrees[u],
+        )
+    colours, degree = _cursor_fit(h_graph.edges, lengths)
     rank = h_graph.rank()
-    if holders:
+    if h_graph.edges:
         # the split keeps the rank, and H*'s max degree is the largest block
-        cap = rank * (max(map(len, blocks)) - 1)
+        cap = rank * (largest - 1)
         if degree > cap:
             raise InvariantBreach(
                 "line graph degree exceeded its cap", max_degree=degree, cap=cap

@@ -137,7 +137,7 @@ def test_colour_linear_internal_breach_exit_3(tmp_path, monkeypatch, capsys):
     hgr = tmp_path / "in.hgr"
     out = tmp_path / "out.col"
     hgr.write_text(TRIANGLE)
-    monkeypatch.setattr(linearhg, "_first_fit", lambda holders: ([6] * len(holders), 0))
+    monkeypatch.setattr(linearhg, "_cursor_fit", lambda edges, lengths: ([6] * len(edges), 0))
     code = cli.main(
         ["colour", "--algorithm", "linear", "--k", "2", str(hgr), "-o", str(out)]
     )
@@ -513,6 +513,48 @@ def test_k_and_r_bound(capsys):
         assert capsys.readouterr().err.endswith(f"error: {flag} must be at most {bound}\n")
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        # the second trial's seed would pass the 4300-digit int-to-str limit
+        ("--seed", "9" * 4300),
+        ("--seed", str(cli.MAX_SEED + 1)),
+        # one row is kept per trial, and this many would never finish
+        ("--trials", "99999999999999999"),
+        ("--trials", str(cli.MAX_TRIALS + 1)),
+    ],
+    ids=["seed-4300-digits", "seed-over-bound", "trials-17-digits", "trials-over-bound"],
+)
+def test_seed_or_trials_above_bound_exit_2_before_any_work(tmp_path, capsys, flag, value):
+    other = {"--seed": ["--trials", "2"], "--trials": []}[flag]
+    argv = ["colour", str(tmp_path / "missing.hgr"), "--algorithm", "random-lll",
+            "--k", "2", "--max-rounds", "0", flag, value] + other
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: hypermaj")
+    bound = cli.MAX_SEED if flag == "--seed" else cli.MAX_TRIALS
+    assert err.endswith(f"error: {flag} must be at most {bound}\n")
+
+
+def test_seed_and_trials_bound(tmp_path, capsys):
+    # at both bounds the run goes ahead; the one edge's vertices have
+    # degree 1 < k, so every trial is infeasible at round 0 (exit 1)
+    hgr = tmp_path / "one.hgr"
+    hgr.write_text("1 2\n1 2\n")
+    argv = ["colour", str(hgr), "--algorithm", "random-lll", "--k", "2",
+            "--max-rounds", "0", "-o", str(tmp_path / "o.col"),
+            "--seed", str(cli.MAX_SEED), "--trials", str(cli.MAX_TRIALS)]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == cli.MAX_TRIALS + 1
+    assert lines[0] == f"trial seed={cli.MAX_SEED} outcome=infeasible rounds=0"
+    last = cli.MAX_SEED + cli.MAX_TRIALS - 1
+    assert lines[-2] == f"trial seed={last} outcome=infeasible rounds=0"
+
+
 def test_oracle_search_space_guard_exit_2(tmp_path):
     # palette 1 once slipped past the guard (1**m) into a RecursionError
     hgr = tmp_path / "in.hgr"
@@ -626,7 +668,8 @@ def fuzz_files(draw, kind):
 def fuzz_argvs(draw):
     """argv for every subcommand with flag values from small ranges, some
     out of their domain, plus stray tokens. random-lll always gets an
-    explicit small --max-rounds and at most 3 trials and jobs."""
+    explicit small --max-rounds, and --seed and --trials are small unless
+    they are out of their domain, where they may pass their bounds."""
     def pick(valid, invalid):
         # about one draw in ten is out of the domain
         out = draw(st.sampled_from((False,) * 9 + (True,)))
@@ -645,9 +688,11 @@ def fuzz_argvs(draw):
         argv += ["--algorithm", algorithm, "--k", small()]
         if algorithm == "random-lll":
             argv += ["--max-rounds", pick(("0", "1", "7", "30"), ("-1",))]
-            for flag in ("--seed", "--trials", "--jobs"):
+            bounds = {"--seed": cli.MAX_SEED, "--trials": cli.MAX_TRIALS, "--jobs": None}
+            for flag, bound in bounds.items():
                 if draw(st.booleans()):
-                    argv += [flag, pick(("1", "2", "3"), ("-1", "0"))]
+                    huge = () if bound is None else ("9" * 4300, str(bound + 1))
+                    argv += [flag, pick(("1", "2", "3"), ("-1", "0") + huge)]
         own = {"partition": "--trace", "linear": "--emit-split=SPLIT"}.get(algorithm, "-o=OUT")
         argv += draw(st.lists(st.sampled_from(("--no-verify", "-o=OUT", own)), unique=True))
     elif command == "verify":

@@ -265,7 +265,7 @@ def test_colour_linear_empty_hypergraph():
 def test_colour_linear_breach_when_greedy_overflows_palette(monkeypatch):
     # a first-fit step that ignored its degree bound would hand back a
     # colour beyond k*rank+1; the colourer must refuse it
-    monkeypatch.setattr(linearhg, "_first_fit", lambda holders: ([6] * len(holders), 0))
+    monkeypatch.setattr(linearhg, "_cursor_fit", lambda edges, lengths: ([6] * len(edges), 0))
     with pytest.raises(InvariantBreach) as exc:
         colour_linear(complete_graph(4), 2)
     assert exc.value.context == {"colour": 6, "palette": 5}
@@ -457,10 +457,28 @@ def test_split_breach_edge_size(monkeypatch):
 def test_colour_linear_breach_when_line_graph_degree_passes_cap(monkeypatch):
     # K4 at k=2 deals each vertex one block of 3 edges, so the cap is
     # rank * (3 - 1) = 4; a neighbourhood count above it is refused
-    monkeypatch.setattr(linearhg, "_first_fit", lambda holders: ([1] * len(holders), 5))
+    monkeypatch.setattr(linearhg, "_cursor_fit", lambda edges, lengths: ([1] * len(edges), 5))
     with pytest.raises(InvariantBreach, match="line graph degree") as exc:
         colour_linear(complete_graph(4), 2)
     assert exc.value.context == {"max_degree": 5, "cap": 4}
+
+
+def test_colour_linear_breach_when_a_block_is_empty(monkeypatch):
+    # an empty block is a sub-vertex of degree 0: the full certification
+    # accepts it, but the cursor, which walks runs of 1 to k+1 edges,
+    # refuses it with a breach of its own
+    real = linearhg._deal
+
+    def add_empty(incident, k):
+        split = real(incident, k)
+        return VertexSplit(split.m, split.t + 1, split.blocks + ((),))
+
+    monkeypatch.setattr(linearhg, "_deal", add_empty)
+    h_star, splits = split_hypergraph(FANO, 2)
+    assert h_star.degrees() == (3, 0) * 7
+    with pytest.raises(InvariantBreach, match="runs covering the incidence") as exc:
+        colour_linear(FANO, 2)
+    assert exc.value.context == {"vertex": 0, "block_sizes": (3, 0), "degree": 3}
 
 
 def colouring_outcome(colour, h, k):
@@ -483,6 +501,24 @@ def test_colour_linear_matches_line_graph_route_property(case):
     assert colouring_outcome(colour_linear, h, k) == colouring_outcome(
         reference_colour_linear, h, k
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_cases())
+def test_colour_linear_distinct_within_every_split_block_property(case):
+    # ties the colouring to the emitted split: the edges of one block meet
+    # at one sub-vertex, so they must all differ
+    h, k = case
+    try:
+        colouring = colour_linear(h, k)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            split_hypergraph(h, k)
+        return
+    _, splits = split_hypergraph(h, k)
+    for split in splits:
+        for block in split.blocks:
+            assert len({colouring[e] for e in block}) == len(block)
 
 
 def test_split_breach_edge_repeated_in_a_block(monkeypatch):
