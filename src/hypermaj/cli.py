@@ -7,8 +7,10 @@ exhausted, or infeasible because some vertex has 0 < d(v) < k);
 2 malformed input or violated precondition; 3 internal error (an
 algorithm's own guarantee failed, which is a bug, not bad input).
 --k and --r above MAX_K_OR_R are usage errors (exit 2), refused before
-any input is read; so are colour's --seed above MAX_SEED and --trials
-above MAX_TRIALS.
+any input is read; so are colour's --seed below 0 or above MAX_SEED and
+--trials above MAX_TRIALS. A negative seed would repeat the draws of its
+absolute value, since random.Random seeds from |seed|; generate refuses
+one too (exit 2).
 
 Result lines are plain `key=value` text by default, or one JSON object
 per line with the same fields under --format json-lines. When colouring
@@ -411,6 +413,8 @@ def _check_flag_scope(parser, args) -> None:
         parser.error("--trials must be at least 1")
     if args.trials > MAX_TRIALS:
         parser.error(f"--trials must be at most {MAX_TRIALS}")
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
     if args.seed > MAX_SEED:
         parser.error(f"--seed must be at most {MAX_SEED}")
     if args.max_rounds is not None and args.max_rounds < 0:

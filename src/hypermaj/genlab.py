@@ -143,9 +143,10 @@ def brute_force(h: Hypergraph, k: int, palette: int) -> Optional[Colouring]:
 class GenSpec:
     """Parameters of a seeded random instance. Construction checks every
     precondition of the model, so a generator only samples: n, r and
-    min_degree in range, the incidence limit, then graph's r = 2, r <= n,
-    linear and graph's span 1 + min_degree * (r - 1) <= n (the edges at
-    one vertex meet only there), and regular's r | n."""
+    min_degree in range, a non-negative seed (random.Random seeds from
+    |seed|, so -s would repeat s), the incidence limit, then graph's
+    r = 2, r <= n, linear and graph's span 1 + min_degree * (r - 1) <= n
+    (the edges at one vertex meet only there), and regular's r | n."""
 
     model: str
     n: int
@@ -170,6 +171,8 @@ class GenSpec:
             raise PreconditionError(
                 f"min_degree must be non-negative, got {self.min_degree}"
             )
+        if self.seed < 0:
+            raise PreconditionError(f"seed must be non-negative, got {self.seed}")
         if self.n * self.min_degree > MAX_GEN_INCIDENCES:
             raise PreconditionError(
                 f"n * min_degree = {self.n * self.min_degree} exceeds the "

@@ -23,6 +23,15 @@ the counts at the r vertices of each edge whose colour changed, so it
 costs O(d(v) r) rather than a rescan of all m r incidences; the random
 stream, and with it every round, matches the rescan's.
 
+Every colour comes from one draw rule: with palette P = k+1 and
+b = P.bit_length(), take rng.getrandbits(b) until the value is below P,
+then add 1. On CPython 3.10-3.13 that is random.Random(seed).randint(1,
+k+1) draw for draw, generator state included, since randint takes the
+same path through _randbelow_with_getrandbits. The stream is fixed by
+this package, not by randint's internals, so a later Python that changes
+randint changes no run here. Seeds are non-negative: random.Random seeds
+from |seed|, so a negative seed would repeat its absolute value's run.
+
 The threshold scan needs care: the second left-hand side rises with
 delta up to its stationary point at delta = 3k^2(k+1) and falls beyond
 it. At the stationary point the value is at least 24 (k+1)^2 k^2 / e,
@@ -44,6 +53,8 @@ import heapq
 import random
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from itertools import islice
+from typing import Iterator
 
 from .errors import InvariantBreach, PreconditionError
 from .genlab import verify
@@ -149,6 +160,20 @@ def bad_vertices(h_graph: Hypergraph, colouring: Colouring, k: int) -> set[int]:
     return {vio.vertex for vio in verify(h_graph, k, colouring).violations}
 
 
+def _draws(rng: random.Random, palette: int) -> Iterator[int]:
+    """Colours uniform on 1..palette, without end: one getrandbits(b) per
+    attempt, b = palette.bit_length(), until the value is below palette.
+    Wide getrandbits calls are avoided on purpose, since how their words
+    are ordered is CPython's choice, not this rule's."""
+    bits = palette.bit_length()
+    getrandbits = rng.getrandbits
+    while True:
+        c = getrandbits(bits)
+        while c >= palette:
+            c = getrandbits(bits)
+        yield c + 1
+
+
 def resample_colour(
     h_graph: Hypergraph, k: int, seed: int, max_rounds: int | None = None
 ) -> ResampleRun:
@@ -160,16 +185,22 @@ def resample_colour(
     "infeasible" at round 0 instead of spending the cap.
 
     Colour counts per vertex are kept up to date edge by edge, so a
-    round costs O(d(v) r) for the d(v) redrawn edges of rank up to r."""
+    round costs O(d(v) r) for the d(v) redrawn edges of rank up to r.
+
+    Colours are drawn by the module's rule, which gives exactly
+    random.Random(seed).randint(1, k + 1), one call per edge; the seed
+    must be non-negative."""
     if k < 2:
         raise PreconditionError(f"k must be at least 2, got {k}")
+    if seed < 0:
+        raise PreconditionError(f"seed must be non-negative, got {seed}")
     edges = h_graph.edges
     if max_rounds is None:
         max_rounds = 10_000 * len(edges)
     elif max_rounds < 0:
         raise PreconditionError(f"max_rounds must be non-negative, got {max_rounds}")
-    rng = random.Random(seed)
-    colours = [rng.randint(1, k + 1) for _ in edges]
+    draws = _draws(random.Random(seed), k + 1)
+    colours = list(islice(draws, len(edges)))
     degrees = h_graph.degrees()
     if any(0 < d < k for d in degrees):
         return ResampleRun(seed, max_rounds, 0, "infeasible", Colouring(colours, k + 1))
@@ -196,8 +227,8 @@ def resample_colour(
             return ResampleRun(
                 seed, max_rounds, rounds, outcome, Colouring(colours, k + 1)
             )
-        for e in h_graph.incident_edges(heap[0]):
-            new = rng.randint(1, k + 1)
+        # the incidence goes first, so zip never takes a draw past its end
+        for e, new in zip(h_graph.incident_edges(heap[0]), draws):
             old = colours[e]
             if new == old:
                 continue

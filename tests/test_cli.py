@@ -539,6 +539,28 @@ def test_seed_or_trials_above_bound_exit_2_before_any_work(tmp_path, capsys, fla
     assert err.endswith(f"error: {flag} must be at most {bound}\n")
 
 
+def test_negative_seed_exit_2(tmp_path, capsys):
+    # random.Random seeds from |seed|: --seed -1 --trials 3 would run seeds
+    # -1, 0 and 1 and report one draw twice under two seeds. colour refuses
+    # it before any input is read (the file is missing)
+    argv = ["colour", str(tmp_path / "missing.hgr"), "--algorithm", "random-lll",
+            "--k", "2", "--seed", "-1", "--trials", "3"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: --seed must be non-negative, got -1\n")
+    # generate --seed -3 would give the instance of --seed 3; GenSpec
+    # refuses it, and nothing is written
+    path = tmp_path / "g.hgr"
+    argv = ["generate", "--model", "uniform", "--n", "8", "--r", "2",
+            "--min-degree", "4", "--seed", "-3", "-o", str(path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: seed must be non-negative, got -3\n")
+    assert not path.exists()
+
+
 def test_seed_and_trials_bound(tmp_path, capsys):
     # at both bounds the run goes ahead; the one edge's vertices have
     # degree 1 < k, so every trial is infeasible at round 0 (exit 1)
@@ -741,3 +763,12 @@ def test_cli_exit_contract_fuzz(argv, hgr, colours, weights):
                 code = exc.code
     assert code in (0, 1, 2, 3), (args, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    # a negative seed is a usage error; argparse keeps the last --seed given
+    seed = None
+    for arg, following in zip(args, args[1:] + [None]):
+        if arg == "--seed":
+            seed = following
+        elif arg.startswith("--seed="):
+            seed = arg.partition("=")[2]
+    if seed == "-1":
+        assert code == 2, (args, err.getvalue())

@@ -195,6 +195,9 @@ def test_genspec_validation():
     ):
         with pytest.raises(PreconditionError, match=f"^{message}$"):
             GenSpec(*spec)
+    # random.Random seeds from |seed|, so seed -3 would repeat seed 3
+    with pytest.raises(PreconditionError, match="^seed must be non-negative, got -3$"):
+        GenSpec("uniform", 8, 2, 4, -3)
     # the span and divisibility rules are their models' alone
     GenSpec("uniform", 6, 3, 3, 0)
     GenSpec("regular", 6, 3, 3, 0)

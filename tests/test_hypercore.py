@@ -180,6 +180,70 @@ def test_colouring_validation():
         Colouring([1], 0)
 
 
+def reference_colouring(colours, palette_size):
+    """Colouring's validation before its bulk range check: every colour
+    checked by index. Returns (colours, palette_size) or raises."""
+    colours = tuple(int(c) for c in colours)
+    palette_size = int(palette_size)
+    if palette_size < 0:
+        raise ValueError("palette_size must be non-negative")
+    for i, c in enumerate(colours):
+        if not 1 <= c <= palette_size:
+            raise ValueError(f"colour {c} of edge {i} outside palette [1, {palette_size}]")
+    return colours, palette_size
+
+
+def reference_serialize_colouring(colours, palette_size):
+    """serialize_colouring as it was: one str per line, then one join."""
+    lines = [f"# palette {palette_size}"]
+    lines.extend(str(col) for col in colours)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def colouring_inputs(draw):
+    """(colours, palette): colours in the palette, with entries outside it
+    (0, negatives, palette + 1 and beyond) inserted at any position,
+    palettes from 0 up (and a few negative ones), empty lists, and colours
+    given as ints or as digit strings."""
+    palette = draw(st.one_of(st.integers(0, 12), st.integers(-2, -1)))
+    colours = draw(st.lists(st.integers(1, palette), max_size=16)) if palette >= 1 else []
+    # the two values just outside the palette, then wider ones
+    outside = st.one_of(
+        st.sampled_from((0, palette + 1)),
+        st.integers(-3, 0),
+        st.integers(max(palette, 0) + 1, palette + 4),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        colours.insert(draw(st.integers(0, len(colours))), draw(outside))
+    if draw(st.booleans()):
+        colours = [str(c) for c in colours]
+    return colours, palette
+
+
+def bulk_colouring(colours, palette_size):
+    c = Colouring(colours, palette_size)
+    return c.colours, c.palette_size
+
+
+def outcome(build, colours, palette):
+    try:
+        return "ok", build(colours, palette)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(colouring_inputs())
+def test_colouring_bulk_check_matches_per_index_reference(case):
+    colours, palette = case
+    expected = outcome(reference_colouring, colours, palette)
+    assert outcome(bulk_colouring, colours, palette) == expected
+    if expected[0] == "ok":
+        text = serialize_colouring(Colouring(colours, palette))
+        assert text == reference_serialize_colouring(*expected[1])
+
+
 def test_colouring_round_trip():
     c = Colouring([1, 3, 2, 1], 4)
     text = serialize_colouring(c)

@@ -187,6 +187,25 @@ def test_random_colouring_deterministic():
     assert all(1 <= c <= 3 for c in a.colours)
 
 
+@pytest.mark.parametrize("palette", (3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65))
+def test_first_draw_is_the_randint_stream(palette):
+    # the draw rule takes getrandbits itself; on both sides of a power of
+    # two, where its rejection rate jumps, it must still give randint's
+    # colours, and for seeds wider than one 32-bit word
+    h = generate(GenSpec(model="uniform", n=10, r=3, min_degree=40, seed=6))
+    k = palette - 1
+    for seed in (0, 1, 2**32, 2**64):
+        assert resample_colour(h, k, seed, 0).colouring == first_draw(h, k, seed)
+
+
+def test_resample_rejects_negative_seed():
+    # random.Random seeds from |seed|, so seed -5 would repeat seed 5's run
+    h = Hypergraph(2, [(0, 1)])
+    with pytest.raises(PreconditionError, match="^seed must be non-negative, got -5$"):
+        resample_colour(h, 2, -5, 0)
+    assert resample_colour(h, 2, 0, 0).seed == 0
+
+
 def test_random_colouring_roughly_uniform():
     h = generate(GenSpec(model="uniform", n=20, r=2, min_degree=300, seed=2))
     m = len(h.edges)
@@ -361,7 +380,7 @@ def resample_cases(draw):
     instances, and hand-made ones with repeated edges, isolated vertices
     and vertices of degree 0 < d < k, which no colouring satisfies. The
     caps stay explicit and small, because the rescan costs O(m r) a round."""
-    k = draw(st.integers(2, 4))
+    k = draw(st.integers(2, 8))
     model = draw(st.sampled_from(("uniform", "regular", "graph", "hand")))
     if model == "hand":
         n = draw(st.integers(1, 8))
