@@ -17,7 +17,10 @@ per line with the same fields under --format json-lines. When colouring
 or instance data goes to stdout (no -o given), result lines move to
 stderr so the data stream stays clean; with -o they go to stdout.
 Violations and errors always go to stderr. Output files are written
-atomically (temp file in the target directory, then rename).
+atomically (temp file in the target directory, then rename), with the
+mode open(path, "w") would give: 0o666 less the umask for a new file,
+the old mode for an overwritten one. Input files are read as bytes and
+decoded by the parsers, so one that is not UTF-8 is malformed (exit 2).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -96,20 +100,36 @@ class Reporter:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hypermaj-")
+    """Write text to path through a temp file in its directory and a
+    rename. The file gets the mode open(path, "w") would give it: an
+    existing target keeps its own, a new file 0o666 less the umask
+    (mkstemp alone would leave 0o600). An OSError names path, not the
+    temp file."""
     try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".hypermaj-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+def _read(path: str) -> bytes:
+    # the parsers decode, so a file that is not UTF-8 is a FormatError
+    with open(path, "rb") as fh:
         return fh.read()
 
 

@@ -4,7 +4,7 @@ Vertices are 0-based ints internally and 1-based in all file formats.
 Hyperedges are non-empty vertex sets; repeated identical edges are allowed
 and count separately towards degrees.
 
-HGR format (UTF-8, LF or CRLF):
+HGR format (UTF-8, LF, CRLF or CR line ends):
     line 1:   <num_edges> <num_vertices>
     lines 2+: one edge per line, space-separated 1-based vertex-ids
 Lines starting with ``%`` are comments. Trailing whitespace is tolerated.
@@ -23,8 +23,10 @@ where the edges come from:
                            as its token list, the declared edge count);
                            only a line it refuses is read token by token,
                            to name its first fault;
-    split_hypergraph       builds H* from the sub-vertex blocks it deals
-                           and certifies H* itself (linearhg).
+    split_hypergraph       builds H* from the sub-vertex blocks it deals,
+                           once they pass the split's one certificate:
+                           runs of k or k+1 edges covering each
+                           vertex's incidence (linearhg).
 The last two go through the private Hypergraph._trusted, which takes
 edges that already hold every invariant, builds the incidence lists from
 them and validates nothing; nothing else may call it.
@@ -223,9 +225,20 @@ class Weighting:
 
 
 def _decode(text: str | bytes) -> str:
-    if isinstance(text, bytes):
+    """The text of an input file, which every parser reads through here:
+    bytes are decoded as UTF-8, and an undecodable byte is a FormatError
+    on its line, numbered as the parsers number lines (str.splitlines)."""
+    if isinstance(text, str):
+        return text
+    try:
         return text.decode("utf-8")
-    return text
+    except UnicodeDecodeError as exc:
+        # the "x" stands for the bad byte, so a line break just before it
+        # starts the line it is counted on
+        line = len((text[: exc.start].decode("utf-8") + "x").splitlines())
+        raise FormatError(
+            line, f"not UTF-8: cannot decode byte 0x{text[exc.start]:02x}"
+        ) from None
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:

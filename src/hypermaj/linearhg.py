@@ -26,19 +26,18 @@ line_graph and greedy_colour stay public as the reference construction
 of the same route, and the CLI's --emit-split prints split_hypergraph's
 blocks.
 
-split_hypergraph certifies the split from the blocks, with nothing
-re-derived or re-validated: every block holds at most k+1 edges; no
-edge pair occurs in two blocks (two edges sharing two sub-vertices would
-put their pair in both), so H* is linear; and every edge gets as many
-distinct sub-vertices as it has vertices, so sizes and the rank are
-unchanged. colour_linear checks only what its cursor reads: every block
-length lies in 1..k+1 and each vertex's lengths add up to its degree.
-Those runs give every edge one sub-vertex per vertex, and H* is linear
-because the input is. When that check fails, the full certification
-runs to name the fault, and a fault it accepts (an empty block, say)
-is a breach of colour_linear's own. colour_linear also checks the
-line-graph degree against rank * (largest block - 1) and the colours
-against the palette.
+Both entry points certify the split by one rule, the one the majority
+bound uses: each vertex's blocks are consecutive runs of k or k+1 edges
+that cover its ascending incidence. It is checked in bulk on the block
+lengths against the degrees; split_hypergraph, the one caller that hands
+out block contents, also compares the concatenated blocks with the
+concatenated incidence. On a linear input the rule is enough: u has at
+most floor(d(u)/k) blocks of at most k+1 edges each, every edge gets
+one sub-vertex per vertex (so sizes and the rank are kept), and two
+edges sharing two sub-vertices would share two vertices, so H* is
+linear. colour_linear's cursor reads only the lengths, so its check
+stops there; it also checks the line-graph degree against
+rank * (largest block - 1) and the colours against the palette.
 
 Determinism: incident edges are dealt to sub-vertices in ascending
 edge-id order, and first-fit also runs in ascending edge order.
@@ -47,8 +46,7 @@ edge-id order, and first-fit also runs in ascending edge order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, repeat, starmap
-from operator import eq
+from itertools import chain, islice
 
 from .errors import InvariantBreach, PreconditionError
 from .hypercore import Colouring, Hypergraph
@@ -115,58 +113,42 @@ def _check_splittable(h_graph: Hypergraph, k: int) -> None:
         )
 
 
-def _split(
-    h_graph: Hypergraph, k: int
-) -> tuple[list[VertexSplit], list[tuple[int, ...]], list[list[int]]]:
-    """The split behind split_hypergraph: check the preconditions, deal
-    every vertex, and certify H* from the blocks.
+def _certify_runs(
+    h_graph: Hypergraph,
+    k: int,
+    lengths: list[tuple[int, ...]],
+    blocks: list[tuple[tuple[int, ...], ...]] | None = None,
+) -> None:
+    """The split's one certificate, the rule the majority bound rests on:
+    each vertex's blocks are consecutive runs of k or k+1 edges that cover
+    its ascending incidence. lengths[u] are the lengths of u's blocks and
+    blocks[u], when given, the blocks themselves. The rule is checked in
+    bulk; only a failure goes vertex by vertex, to name the first vertex
+    that breaks it."""
+    degrees = h_graph.degrees()
+    incidence = h_graph.incidence()
 
-    Returns the VertexSplits, the blocks (block s is the incidence of
-    sub-vertex s) and, per edge, the ids of the sub-vertices it was dealt
-    to in ascending order."""
-    _check_splittable(h_graph, k)
-    edges = h_graph.edges
-    splits = [_deal(incident, k) for incident in h_graph.incidence()]
-    # Sub-vertices are numbered vertex by vertex, so the s-th block overall
-    # is the incidence of sub-vertex s; an edge pair seen in two blocks is
-    # two edges sharing two sub-vertices.
-    blocks = [block for split in splits for block in split.blocks]
-    members: list[list[int]] = [[] for _ in edges]
-    for s, block in enumerate(blocks):
-        for e in block:
-            members[e].append(s)
-    pairs = list(chain.from_iterable(map(combinations, blocks, repeat(2))))
-    if len(set(pairs)) != len(pairs):
-        first: dict[tuple[int, int], int] = {}
-        for s, block in enumerate(blocks):
-            for pair in combinations(block, 2):
-                if pair in first:
-                    raise InvariantBreach(
-                        "split hypergraph is not linear",
-                        edges=pair,
-                        sub_vertices=(first[pair], s),
-                    )
-                first[pair] = s
-    max_degree = max(map(len, blocks), default=0)
-    if max_degree > k + 1:
-        raise InvariantBreach(
-            "split left a sub-vertex above degree k+1", max_degree=max_degree, k=k
+    def hold(us: slice) -> bool:
+        sizes = list(chain.from_iterable(lengths[us]))
+        return (
+            k <= min(sizes, default=k)
+            and max(sizes, default=k) <= k + 1
+            and tuple(map(sum, lengths[us])) == degrees[us]
+            and (
+                blocks is None
+                or list(chain.from_iterable(chain.from_iterable(blocks[us])))
+                == list(chain.from_iterable(incidence[us]))
+            )
         )
-    # |e| distinct sub-vertices per edge also keeps the rank; a sub-vertex
-    # repeated in an edge's list is an edge repeated in a block, which
-    # gives the pair (e, e)
-    if list(map(len, members)) != list(map(len, edges)) or any(starmap(eq, pairs)):
-        for e, (fs, ms) in enumerate(zip(edges, members)):
-            sub = len(frozenset(ms))
-            if not len(fs) == len(ms) == sub:
-                raise InvariantBreach(
-                    "split changed the size of an edge",
-                    edge=e,
-                    size=len(fs),
-                    split_size=sub,
-                    dealt=len(ms),
-                )
-    return splits, blocks, members
+
+    if not hold(slice(None)):
+        u = next(u for u in range(len(lengths)) if not hold(slice(u, u + 1)))
+        raise InvariantBreach(
+            "split blocks are not runs of k or k+1 edges covering the incidence",
+            vertex=u,
+            block_sizes=lengths[u],
+            degree=degrees[u],
+        )
 
 
 def split_hypergraph(
@@ -179,8 +161,18 @@ def split_hypergraph(
     Returns H* and one VertexSplit per vertex. Sub-vertices are numbered
     vertex by vertex, so sub-vertex j of u has global id j plus the t of
     all vertices before u."""
-    splits, blocks, members = _split(h_graph, k)
-    h_star = Hypergraph._trusted(len(blocks), [frozenset(ms) for ms in members])
+    _check_splittable(h_graph, k)
+    splits = [_deal(incident, k) for incident in h_graph.incidence()]
+    blocks = [split.blocks for split in splits]
+    lengths = [tuple(map(len, bs)) for bs in blocks]
+    _certify_runs(h_graph, k, lengths, blocks)
+    # H* needs no validation: certified runs give every edge one distinct
+    # sub-vertex per vertex, and the input is linear, so H* is
+    members: list[list[int]] = [[] for _ in h_graph.edges]
+    for s, block in enumerate(chain.from_iterable(blocks)):
+        for e in block:
+            members[e].append(s)
+    h_star = Hypergraph._trusted(sum(map(len, lengths)), [frozenset(ms) for ms in members])
     return h_star, tuple(splits)
 
 
@@ -266,29 +258,13 @@ def colour_linear(h_graph: Hypergraph, k: int) -> Colouring:
     colour at most floor(d(u)/k) times. Input must be linear with
     minimum degree at least k^2 - k."""
     _check_splittable(h_graph, k)
-    degrees = h_graph.degrees()
     lengths = [tuple(map(len, _deal(incident, k).blocks)) for incident in h_graph.incidence()]
-    sizes = list(chain.from_iterable(lengths))
-    largest = max(sizes, default=0)
-    # The cursor walks runs of 1 to k+1 edges that cover each incidence;
-    # blocks that do not are a fault in the dealing, named by the full
-    # certification when it is one that it knows.
-    if 0 in sizes or largest > k + 1 or tuple(map(sum, lengths)) != degrees:
-        _split(h_graph, k)
-        u = next(
-            u for u, ls in enumerate(lengths) if 0 in ls or sum(ls) != degrees[u]
-        )
-        raise InvariantBreach(
-            "split blocks are not runs covering the incidence",
-            vertex=u,
-            block_sizes=lengths[u],
-            degree=degrees[u],
-        )
+    _certify_runs(h_graph, k, lengths)
     colours, degree = _cursor_fit(h_graph.edges, lengths)
     rank = h_graph.rank()
     if h_graph.edges:
         # the split keeps the rank, and H*'s max degree is the largest block
-        cap = rank * (largest - 1)
+        cap = rank * (max(chain.from_iterable(lengths)) - 1)
         if degree > cap:
             raise InvariantBreach(
                 "line graph degree exceeded its cap", max_degree=degree, cap=cap

@@ -301,6 +301,94 @@ def test_missing_file_exit_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "files, argv, line",
+    [
+        ({"in.hgr": b"\xff\xfe1 2\n1 2\n"}, ("verify", "--k", "2", "in.hgr", "in.hgr"), 1),
+        ({"in.hgr": b"\xff\xfe1 2\n1 2\n"}, ("colour", "--algorithm", "linear", "--k", "2", "in.hgr"), 1),
+        (
+            {"in.hgr": b"1 2\n1 2\n", "in.col": b"# palette 3\r\n1\r\xff\n"},
+            ("verify", "--k", "2", "in.hgr", "in.col"),
+            3,
+        ),
+        (
+            {"in.hgr": b"1 2\n1 2\n", "in.w": b"% \xc3\xa9\n\xff\n"},
+            ("round", "in.hgr", "in.w"),
+            2,
+        ),
+    ],
+)
+def test_non_utf8_input_exit_2(tmp_path, files, argv, line):
+    # exit 1 would claim that the property does not hold; a file that is
+    # not UTF-8 is malformed input, reported on the line of its first
+    # undecodable byte
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    res = run_cli(*(str(tmp_path / a) if a in files else a for a in argv))
+    assert res.returncode == 2
+    assert res.stderr == f"error: line {line}: not UTF-8: cannot decode byte 0xff\n"
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_line_numbers_alike_for_every_line_end(tmp_path, capsys, end):
+    # the parsers read the file's bytes, so CRLF and CR must number lines
+    # as LF does
+    hgr = tmp_path / "in.hgr"
+    for body, message in (
+        (b"1 9", "line 3: vertex-id 9 out of range [1, 3]"),
+        (b"1 \xff", "line 3: not UTF-8: cannot decode byte 0xff"),
+    ):
+        hgr.write_bytes(end.encode().join((b"2 3", b"1 2", body, b"")))
+        assert cli.main(["colour", str(hgr), "--algorithm", "linear", "--k", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def run_cli_umask(umask, *args):
+    """run_cli under the given umask."""
+    code = f"import os, sys; os.umask({umask}); from hypermaj import cli; sys.exit(cli.main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=120
+    )
+
+
+def test_output_files_take_the_mode_open_would_give(tmp_path):
+    # a new file is 0o666 less the umask, as open(path, "w") makes it,
+    # not mkstemp's 0o600; an overwritten target keeps its own mode
+    hgr, col, split, weights, trace = (
+        tmp_path / name for name in ("in.hgr", "o.col", "o.split", "in.w", "o.trace")
+    )
+    gen = ("generate", "--model", "graph", "--n", "12", "--r", "2", "--min-degree", "4")
+    assert run_cli_umask(0o022, *gen, "-o", str(hgr)).returncode == 0
+    linear = ("colour", str(hgr), "--algorithm", "linear", "--k", "2", "-o", str(col))
+    assert run_cli_umask(0o022, *linear, "--emit-split", str(split)).returncode == 0
+    weights.write_text("1/2\n" * len(parse_hypergraph(hgr.read_text()).edges))
+    rounding = ("round", str(hgr), str(weights), "-o", str(tmp_path / "o.w"))
+    assert run_cli_umask(0o022, *rounding, "--trace-file", str(trace)).returncode == 0
+    for path in (hgr, col, split, tmp_path / "o.w", trace):
+        assert oct(path.stat().st_mode & 0o777) == oct(0o644), path
+    assert run_cli_umask(0o027, *gen, "-o", str(tmp_path / "g.hgr")).returncode == 0
+    assert oct((tmp_path / "g.hgr").stat().st_mode & 0o777) == oct(0o640)
+    hgr.chmod(0o640)
+    before = hgr.read_bytes()
+    assert run_cli_umask(0o022, *gen, "--seed", "2", "-o", str(hgr)).returncode == 0
+    assert hgr.read_bytes() != before
+    assert oct(hgr.stat().st_mode & 0o777) == oct(0o640)
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
+
+
+@pytest.mark.parametrize(
+    "out, error",
+    [("nodir/f.hgr", "[Errno 2] No such file or directory"), ("adir", "[Errno 21] Is a directory")],
+)
+def test_output_error_names_the_path_not_the_temp_file(tmp_path, out, error):
+    (tmp_path / "adir").mkdir()
+    out = tmp_path / out
+    res = run_cli("generate", "--model", "uniform", "--n", "8", "--r", "2", "--min-degree", "4", "-o", str(out))
+    assert res.returncode == 2
+    assert res.stderr == f"error: {error}: {str(out)!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+
 def test_no_verify_skips_check(tmp_path):
     hgr = tmp_path / "in.hgr"
     col = tmp_path / "out.col"
@@ -667,23 +755,25 @@ def test_no_assert_statements_in_package():
 
 @st.composite
 def fuzz_files(draw, kind):
-    """Small text for an HGR, colouring or weights file: half the time a
+    """Small bytes for an HGR, colouring or weights file: half the time a
     valid file of its kind (at most 6 edges or entries, so the oracle's
     search space stays tiny), else at most six lines of tokens drawn from
-    digits, signs, fractions and junk."""
+    digits, signs, fractions and junk, a byte that is not UTF-8 among
+    them."""
     if draw(st.booleans()):
         if kind == "hgr":
             n = draw(st.integers(1, 6))
             edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
-            return serialize_hypergraph(Hypergraph(n, draw(st.lists(edge, max_size=6))))
+            return serialize_hypergraph(Hypergraph(n, draw(st.lists(edge, max_size=6)))).encode()
         entry = st.integers(1, 3).map(str) if kind == "colours" else st.fractions(0, 1, max_denominator=12).map(str)
         head = "# palette 3\n" if kind == "colours" and draw(st.booleans()) else ""
-        return head + "".join(e + "\n" for e in draw(st.lists(entry, max_size=6)))
+        return (head + "".join(e + "\n" for e in draw(st.lists(entry, max_size=6)))).encode()
     token = st.sampled_from(
-        ("0", "1", "2", "3", "6", "-1", "1/2", "3/2", "0.5", "1e3", "x", "%", "#", "palette", "")
+        (b"0", b"1", b"2", b"3", b"6", b"-1", b"1/2", b"3/2", b"0.5", b"1e3", b"x", b"%", b"#",
+         b"palette", b"\xff", b"")
     )
-    lines = draw(st.lists(st.lists(token, max_size=4).map(" ".join), max_size=6))
-    return draw(st.sampled_from(("\n", "\r\n"))).join(lines) + "\n"
+    lines = draw(st.lists(st.lists(token, max_size=4).map(b" ".join), max_size=6))
+    return draw(st.sampled_from((b"\n", b"\r\n"))).join(lines) + b"\n"
 
 
 @st.composite
@@ -745,10 +835,10 @@ def test_cli_exit_contract_fuzz(argv, hgr, colours, weights):
     # (0-3) with no traceback; argparse's own usage errors exit 2.
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
-        for name, text in (("IN", hgr), ("COLOURS", colours), ("WEIGHTS", weights)):
+        for name, data in (("IN", hgr), ("COLOURS", colours), ("WEIGHTS", weights)):
             paths[name] = os.path.join(tmp, name.lower())
-            with open(paths[name], "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(paths[name], "wb") as fh:
+                fh.write(data)
         for name in ("OUT", "SPLIT", "TRACE"):
             paths[name] = os.path.join(tmp, name.lower())
         args = []

@@ -71,6 +71,25 @@ def test_parse_comments_and_crlf():
     assert h.n_vertices == 3
 
 
+@pytest.mark.parametrize(
+    "parse, data, line, byte",
+    [
+        (parse_hypergraph, b"\xff\xfe1 2\n1 2\n", 1, "ff"),
+        # a valid multi-byte character before the bad byte, and a break
+        # that str.splitlines honours (U+2028)
+        (parse_hypergraph, "% é\u2028".encode() + b"1 2\r\n1 \xff\n", 3, "ff"),
+        # a multi-byte sequence cut short at the end of the file
+        (parse_colouring, b"# palette 2\r1\r\n2\n\xc3", 4, "c3"),
+        (parse_weights, b"1/2\n\n%\x80\n", 3, "80"),
+    ],
+)
+def test_parsers_refuse_bytes_that_are_not_utf8(parse, data, line, byte):
+    with pytest.raises(FormatError) as exc:
+        parse(data)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: not UTF-8: cannot decode byte 0x{byte}"
+
+
 def test_parse_serialize_round_trip():
     rng = random.Random(20)
     for _ in range(25):

@@ -412,18 +412,29 @@ def test_colour_linear_golden_digest():
     assert golden_linear_digest() == GOLDEN_LINEAR_SHA256
 
 
+def assert_runs_breach(h, k, vertex, block_sizes, degree):
+    """Both entry points refuse the split with the one breach of the run
+    rule, naming the vertex, its block sizes and its degree."""
+    for run in (split_hypergraph, colour_linear):
+        with pytest.raises(InvariantBreach, match="not runs of k or k\\+1 edges") as exc:
+            run(h, k)
+        assert exc.value.context == {
+            "vertex": vertex,
+            "block_sizes": block_sizes,
+            "degree": degree,
+        }, run
+
+
 def test_split_breach_sub_vertex_above_degree_k_plus_1(monkeypatch):
     # one block per vertex: sub-vertex degree d(u) = 4 in K5, one above k+1
     monkeypatch.setattr(linearhg, "_deal", lambda incident, k: VertexSplit(0, 1, (incident,)))
-    for run in (split_hypergraph, colour_linear):
-        with pytest.raises(InvariantBreach, match="above degree k\\+1") as exc:
-            run(complete_graph(5), 2)
-        assert exc.value.context == {"max_degree": 4, "k": 2}
+    assert_runs_breach(complete_graph(5), 2, 0, (4,), 4)
 
 
 def test_split_breach_not_linear(monkeypatch):
     # dealing each vertex's first block twice puts vertex 0's first edge
-    # pair in blocks 0 and 2, so those two edges share two sub-vertices
+    # pair in blocks 0 and 2, so those two edges share two sub-vertices;
+    # the blocks then hold more edges than the vertex has
     real = linearhg._deal
 
     def deal_twice(incident, k):
@@ -431,12 +442,7 @@ def test_split_breach_not_linear(monkeypatch):
         return VertexSplit(split.m, split.t + 1, split.blocks + split.blocks[:1])
 
     monkeypatch.setattr(linearhg, "_deal", deal_twice)
-    h = complete_graph(5)
-    first = real(h.incident_edges(0), 2).blocks[0]
-    for run in (split_hypergraph, colour_linear):
-        with pytest.raises(InvariantBreach, match="not linear") as exc:
-            run(h, 2)
-        assert exc.value.context == {"edges": first[:2], "sub_vertices": (0, 2)}
+    assert_runs_breach(complete_graph(5), 2, 0, (2, 2, 2), 4)
 
 
 def test_split_breach_edge_size(monkeypatch):
@@ -448,10 +454,7 @@ def test_split_breach_edge_size(monkeypatch):
         return VertexSplit(split.m, split.t - 1, split.blocks[:-1])
 
     monkeypatch.setattr(linearhg, "_deal", drop_last)
-    for run in (split_hypergraph, colour_linear):
-        with pytest.raises(InvariantBreach, match="size of an edge") as exc:
-            run(FANO, 2)
-        assert exc.value.context == {"edge": 0, "size": 3, "split_size": 0, "dealt": 0}
+    assert_runs_breach(FANO, 2, 0, (), 3)
 
 
 def test_colour_linear_breach_when_line_graph_degree_passes_cap(monkeypatch):
@@ -464,9 +467,7 @@ def test_colour_linear_breach_when_line_graph_degree_passes_cap(monkeypatch):
 
 
 def test_colour_linear_breach_when_a_block_is_empty(monkeypatch):
-    # an empty block is a sub-vertex of degree 0: the full certification
-    # accepts it, but the cursor, which walks runs of 1 to k+1 edges,
-    # refuses it with a breach of its own
+    # an empty block is a sub-vertex of degree 0, a run shorter than k
     real = linearhg._deal
 
     def add_empty(incident, k):
@@ -474,11 +475,32 @@ def test_colour_linear_breach_when_a_block_is_empty(monkeypatch):
         return VertexSplit(split.m, split.t + 1, split.blocks + ((),))
 
     monkeypatch.setattr(linearhg, "_deal", add_empty)
-    h_star, splits = split_hypergraph(FANO, 2)
-    assert h_star.degrees() == (3, 0) * 7
-    with pytest.raises(InvariantBreach, match="runs covering the incidence") as exc:
-        colour_linear(FANO, 2)
-    assert exc.value.context == {"vertex": 0, "block_sizes": (3, 0), "degree": 3}
+    assert_runs_breach(FANO, 2, 0, (3, 0), 3)
+
+
+def test_split_breach_singleton_blocks(monkeypatch):
+    # one block per edge passes every size and linearity property of H*,
+    # but gives u d(u) blocks, not floor(d(u)/k): all colours could be 1
+    monkeypatch.setattr(
+        linearhg,
+        "_deal",
+        lambda incident, k: VertexSplit(0, len(incident), tuple((e,) for e in incident)),
+    )
+    h = generate(GenSpec("linear", 45, 3, 7, 4))
+    assert_runs_breach(h, 3, 0, (1,) * h.degree(0), h.degree(0))
+
+
+def test_split_breach_blocks_out_of_order(monkeypatch):
+    # right lengths, wrong contents: the blocks of a reversed incidence.
+    # Only split_hypergraph hands out contents, so only it compares them;
+    # colour_linear's cursor reads the lengths alone and is unaffected.
+    real = linearhg._deal
+    want = colour_linear(complete_graph(5), 2)
+    monkeypatch.setattr(linearhg, "_deal", lambda incident, k: real(incident[::-1], k))
+    with pytest.raises(InvariantBreach, match="not runs of k or k\\+1 edges") as exc:
+        split_hypergraph(complete_graph(5), 2)
+    assert exc.value.context == {"vertex": 0, "block_sizes": (2, 2), "degree": 4}
+    assert colour_linear(complete_graph(5), 2) == want
 
 
 def colouring_outcome(colour, h, k):
@@ -540,7 +562,4 @@ def test_split_breach_edge_repeated_in_a_block(monkeypatch):
         return split
 
     monkeypatch.setattr(linearhg, "_deal", repeat_in_block)
-    for run in (split_hypergraph, colour_linear):
-        with pytest.raises(InvariantBreach, match="size of an edge") as exc:
-            run(h, 2)
-        assert exc.value.context == {"edge": first, "size": 2, "split_size": 1, "dealt": 2}
+    assert_runs_breach(h, 2, 0, (2, 1, 2), 4)
