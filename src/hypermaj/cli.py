@@ -100,24 +100,27 @@ class Reporter:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write text to path through a temp file in its directory and a
-    rename. The file gets the mode open(path, "w") would give it: an
-    existing target keeps its own, a new file 0o666 less the umask
-    (mkstemp alone would leave 0o600). An OSError names path, not the
-    temp file."""
-    try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
+    """Write text to path through a temp file beside its target and a
+    rename. A symlink is written through, as open(path, "w") does: the
+    rename lands on the file the link resolves to, existing or not. The
+    file gets the mode open(path, "w") would give it: an existing target
+    keeps its own, a new file 0o666 less the umask (mkstemp alone would
+    leave 0o600). An OSError names path, not the target or the temp
+    file."""
+    target = os.path.realpath(path)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".hypermaj-")
+        try:
+            mode = stat.S_IMODE(os.stat(target).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".hypermaj-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             os.fchmod(fh.fileno(), mode)
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None:
             with contextlib.suppress(OSError):

@@ -87,26 +87,28 @@ def check_class_bounds(
     for e in remaining:
         for v in h_graph.edges[e]:
             rem_deg[v] += 1
-    rem_factor = delta - i * (Fraction(delta, k) - 2 * r)
+    # both caps times k * delta, so the comparisons stay in integers:
+    # k * class_deg > d, and k * delta * rem_deg > d * rem_cap with
+    # rem_cap = k*delta - i*(delta - 2rk); the Fraction bound is built
+    # only for a breach report
+    kd = k * delta
+    rem_cap = kd - i * (delta - 2 * r * k)
     for v, d in enumerate(h_graph.degrees()):
-        b = Fraction(d, delta)
-        class_bound = b * Fraction(delta, k)
-        if class_deg[v] > class_bound:
+        if k * class_deg[v] > d:
             raise InvariantBreach(
                 "colour class degree exceeded its cap",
                 v=v,
                 i=i,
                 observed=class_deg[v],
-                bound=class_bound,
+                bound=Fraction(d, delta) * Fraction(delta, k),
             )
-        rem_bound = b * rem_factor
-        if rem_deg[v] > rem_bound:
+        if kd * rem_deg[v] > d * rem_cap:
             raise InvariantBreach(
                 "remaining degree exceeded its cap",
                 v=v,
                 i=i,
                 observed=rem_deg[v],
-                bound=rem_bound,
+                bound=Fraction(d, delta) * (delta - i * (Fraction(delta, k) - 2 * r)),
             )
 
 

@@ -2,15 +2,15 @@
 
 Given weights z: E -> [0, 1], produces x: E -> {0, 1} such that at every
 vertex the incident x-sum stays strictly within rank(H) of the incident
-z-sum. The construction walks the fractional weights along kernel
-directions of the constrained-vertex incidence system:
+z-sum. The construction is the Beck-Fiala walk ("Integer-making
+theorems", 1981) along kernel directions of the constrained-vertex
+incidence system:
 
   1. Edges with integral z are fixed immediately.
   2. While some vertex has fractional degree >= r+1, those vertices form
-     the constrained set. Their incidence rows over the fractional edges
-     have more columns than rows, so the system has a nonzero kernel
-     vector d. Moving the fractional weights along d preserves every
-     constrained vertex's incident sum exactly.
+     the constrained set. Moving the fractional weights along a kernel
+     vector d of their incidence rows over the fractional edges preserves
+     every constrained vertex's incident sum exactly.
   3. The step length is the largest t with h + t*d still inside [0, 1];
      every component that lands on 0 or 1 becomes fixed.
   4. Once no vertex is constrained, each remaining fractional edge rounds
@@ -18,9 +18,30 @@ directions of the constrained-vertex incidence system:
      set has at most r fractional edges, each moving by strictly less
      than 1, which gives the strict discrepancy bound.
 
+Any kernel vector will do, and one is found on a small window of columns.
+A kernel vector supported on a set W of fractional edges only has to
+vanish on the rows R that W touches, and it exists once |W| > |R|. The
+window is such a W: each of its edges has a constrained member, and R is
+the set of constrained vertices it touches. It is kept from one iteration
+to the next. After each step the fixed edges leave it, and so does any
+edge with no constrained member left. Then, while |W| <= |R|, it grows by
+the candidate edge (fractional, outside W, with a constrained member) that
+brings the fewest constrained vertices not yet in R, ties to the lowest
+edge id. A candidate always exists: every constrained vertex has at least
+r+1 fractional edges, each edge covers at most r rows, so once every
+candidate is in W, |W| > |R|.
+
+Growth costs no rescan. Each candidate's count of constrained members
+outside R sits in a bucket, a min-heap of edge ids per count 0..r. A count
+changes only when a row joins or leaves R, or when a vertex leaves the
+constrained set, and then only at that vertex's fractional edges, so each
+such change costs O(fractional degree). Heap entries whose count has moved
+on are dropped when they come up.
+
 All arithmetic is exact, and the walk's is integer. The kernel comes from
-a sparse fraction-free elimination of the integer incidence rows in column
-order, each updated row divided by the gcd of its entries, followed by an
+a sparse fraction-free elimination of the window's integer incidence rows
+in column order (W in ascending edge id), with a row divided by the gcd of
+its entries after any update that could multiply them, followed by an
 integer back-substitution. The walk keeps every fractional weight as a
 reduced numerator/denominator pair and steps along the integer kernel
 vector w by a step length t that is also a pair; the leftovers are rounded
@@ -28,14 +49,15 @@ from those pairs. Fractions appear only in the input Weighting, in
 TraceStep.step and in the returned Weighting.
 
 The kernel vector w is unique up to scale: it ends at the first column j
-that depends on the columns before it. TraceStep.step is t*|w[j]|, the
-step length along d = w/|w[j]|: the kernel vector with its first free
-variable set to 1 and later ones to 0, then negated if needed so that its
-first nonzero entry is positive.
+of the window that depends on the columns before it. TraceStep.step is
+t*|w[j]|, the step length along d = w/|w[j]|: the kernel vector with its
+first free variable set to 1 and later ones to 0, then negated if needed
+so that its first nonzero entry is positive.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,10 +75,22 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_CANDIDATE = 1
+_IN_WINDOW = 2
 
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One kernel-walk iteration.
+
+    n_constrained: the size of the whole constrained set (vertices of
+    fractional degree above the rank) before the step, not only the
+    window's rows. n_frac: the number of all fractional edges before the
+    step, not only the window's. step: t*|w[j]|, the step length along the
+    kernel vector whose first free variable is 1 (see the module
+    docstring). fixed: the edges the step landed on 0 or 1, ascending.
+    """
+
     n_constrained: int
     n_frac: int
     step: Fraction
@@ -81,11 +115,13 @@ def _first_dependent(
     columns in range(len(holders)); both are consumed. Rows are eliminated
     in column order: each column takes as pivot the shortest remaining row
     that is nonzero there and clears that column from the other remaining
-    rows, each updated row divided by the gcd of its entries. The first
-    column j where no remaining row is nonzero depends on columns 0..j-1,
-    which are independent, so the returned w (length len(holders), w[j] != 0,
-    zero past j, with sum_c w[c] * column c = 0) is unique up to scale; it
-    is made primitive with its first nonzero entry positive.
+    rows; an update that scales a row, or subtracts a multiple other than
+    +-1 of the pivot row, is followed by dividing the row by the gcd of its
+    entries. The first column j where no remaining row is nonzero depends
+    on columns 0..j-1, which are independent, so the returned w (length
+    len(holders), w[j] != 0, zero past j, with sum_c w[c] * column c = 0)
+    is unique up to scale; it is made primitive with its first nonzero
+    entry positive.
     """
     gcd = math.gcd
     pivots: list[tuple[int, dict[int, int]]] = []
@@ -112,9 +148,13 @@ def _first_dependent(
         for u in hold:
             row = rows[u]
             a = row.pop(c)
+            pu = 1
             if p != 1:
                 g = gcd(p, a)
                 pu, a = p // g, a // g
+                # the row may change sign, so a pivot of -1 scales nothing
+                if pu < 0:
+                    pu, a = -pu, -a
                 if pu != 1:
                     for l in row:
                         row[l] *= pu
@@ -129,10 +169,14 @@ def _first_dependent(
                 else:
                     row[l] = -a * y
                     holders[l].add(u)
-            g = gcd(*row.values())
-            if g > 1:
-                for l in row:
-                    row[l] //= g
+            # adding or subtracting the pivot row grows the entries by at
+            # most a sum; any other update may multiply them, so it is
+            # followed by a division by the gcd of the row's entries
+            if pu != 1 or (a != 1 and a != -1):
+                g = gcd(*row.values())
+                if g > 1:
+                    for l in row:
+                        row[l] //= g
         pivots.append((p, prow))
     raise InvariantBreach(
         "no dependent column: the system has no more columns than independent rows",
@@ -228,21 +272,39 @@ def _finalize_low_degree(
     return {e: _ONE if 2 * num[e] >= den[e] else _ZERO for e in frac}
 
 
+def _pop_candidate(buckets: list[list[int]], state: list[int], n_out: list[int]) -> int:
+    """Pop and return the lowest id in the lowest bucket that holds a live
+    candidate, or -1 when no bucket does. buckets[c] is a min-heap of edge
+    ids that held c constrained members outside the rows when pushed; an
+    entry whose edge is no longer a candidate, or whose count has moved on,
+    is dropped on the way."""
+    pop = heapq.heappop
+    for c, heap in enumerate(buckets):
+        while heap:
+            e = pop(heap)
+            if state[e] == _CANDIDATE and n_out[e] == c:
+                return e
+    return -1
+
+
 def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, RoundingTrace]:
     """Round z to a 0/1 weighting x with, at every vertex v,
     sum_z(v) - r < sum_x(v) < sum_z(v) + r (strict, exact rationals).
 
-    Entries of z already in {0, 1} are returned unchanged. The trace
-    records, per kernel-walk iteration, the constrained-set size, the
-    fractional edge count, the step length along the kernel vector whose
-    first free variable is 1, and the edges fixed.
+    Entries of z already in {0, 1} are returned unchanged. Each iteration
+    solves on the kept window of the module docstring. The trace records,
+    per kernel-walk iteration, the constrained-set size, the fractional
+    edge count, the step length along the kernel vector whose first free
+    variable is 1, and the edges fixed (see TraceStep).
     """
     m = len(h_graph.edges)
     if len(z) != m:
         raise ValueError(f"weighting has {len(z)} entries for {m} edges")
     r = h_graph.rank()
     edges = h_graph.edges
+    incidence = h_graph.incidence()
     gcd = math.gcd
+    push = heapq.heappush
     # x[e] is None exactly while e is fractional; its weight is then the
     # reduced integer pair num[e] / den[e]
     x: list[Fraction | None] = [None] * m
@@ -259,23 +321,65 @@ def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, Roundin
     for e in frac:
         for v in edges[e]:
             frac_deg[v] += 1
-    constrained = {v for v in range(h_graph.n_vertices) if frac_deg[v] > r}
+    # each constrained vertex (fractional degree above r) maps to the set of
+    # its fractional edges; it leaves when that set shrinks to r
+    constrained = {
+        v: {e for e in incidence[v] if x[e] is None}
+        for v in range(h_graph.n_vertices)
+        if frac_deg[v] > r
+    }
+    # state[e] is _IN_WINDOW for a window edge, _CANDIDATE for a fractional
+    # edge outside the window with a constrained member, and 0 otherwise; an
+    # edge at 0 stays there, as the constrained set only shrinks. n_con[e]
+    # counts e's constrained members, n_out[e] those outside the rows, and
+    # buckets[c] holds every candidate with n_out c (see _pop_candidate).
+    state = [0] * m
+    n_con = [0] * m
+    n_out = [0] * m
+    buckets: list[list[int]] = [[] for _ in range(r + 1)]
+    live = constrained.keys()  # a view: it follows the deletions below
+    for e in frac:
+        c = len(live & edges[e])
+        if c:
+            state[e] = _CANDIDATE
+            n_con[e] = n_out[e] = c
+            buckets[c].append(e)  # ascending, so already a heap
+    window: set[int] = set()
+    # window edges at each constrained vertex; the rows are the vertices
+    # where it is positive
+    in_rows = [0] * h_graph.n_vertices
+    n_rows = 0
+    n_frac = len(frac)
 
     steps: list[TraceStep] = []
     while constrained:
-        s = len(constrained)
-        if len(frac) <= s:
-            raise InvariantBreach(
-                "constrained incidence system must have more columns than rows",
-                rows=s,
-                cols=len(frac),
-            )
-        # s+1 columns of s rows always hold a dependent column
-        cols = frac[: s + 1]
+        while len(window) <= n_rows:
+            e = _pop_candidate(buckets, state, n_out)
+            if e < 0:
+                raise InvariantBreach(
+                    "window growth ran out of candidate edges",
+                    rows=n_rows,
+                    cols=len(window),
+                )
+            state[e] = _IN_WINDOW
+            window.add(e)
+            for v in edges[e]:
+                if v in constrained:
+                    in_rows[v] += 1
+                    if in_rows[v] == 1:
+                        n_rows += 1
+                        for f in constrained[v]:
+                            if state[f] == _CANDIDATE:
+                                n_out[f] -= 1
+                                push(buckets[n_out[f]], f)
+        # the window has more columns than its rows, so it holds a
+        # dependent column, and a kernel vector on the window vanishes on
+        # every constrained row outside it
+        cols = sorted(window)
         rows: dict[int, dict[int, int]] = {}
         holders: list[set] = []
         for c, e in enumerate(cols):
-            hold = constrained & edges[e]
+            hold = live & edges[e]
             holders.append(hold)
             for v in hold:
                 if v in rows:
@@ -286,15 +390,40 @@ def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, Roundin
         tn, tq, hits = _step([num[e] for e in cols], [den[e] for e in cols], w)
         g = gcd(tn, tq)
         tn, tq = tn // g, tq // g
+        s = len(constrained)
         fixed_now = []
         for idx in hits:
             e = cols[idx]
             x[e] = _ONE if w[idx] > 0 else _ZERO
             fixed_now.append(e)
+            state[e] = 0
+            window.discard(e)
             for v in edges[e]:
-                frac_deg[v] -= 1
-                if frac_deg[v] == r:
-                    constrained.discard(v)
+                mine = constrained.get(v)
+                if mine is None:
+                    continue
+                # v is a row, since e was a window edge
+                mine.discard(e)
+                if len(mine) == r:
+                    # v leaves the constrained set and the rows; an edge
+                    # left with no constrained member leaves the window or
+                    # the candidates for good
+                    del constrained[v]
+                    n_rows -= 1
+                    for f in mine:
+                        n_con[f] -= 1
+                        if not n_con[f]:
+                            if state[f] == _IN_WINDOW:
+                                window.discard(f)
+                            state[f] = 0
+                else:
+                    in_rows[v] -= 1
+                    if not in_rows[v]:
+                        n_rows -= 1
+                        for f in mine:
+                            if state[f] == _CANDIDATE:
+                                n_out[f] += 1
+                                push(buckets[n_out[f]], f)
         for e, we in zip(cols, w):
             if we and x[e] is None:
                 # h + t*w over one common denominator, reduced
@@ -305,9 +434,10 @@ def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, Roundin
         # the trace's step is along d = w / |w[j]|, whose first free
         # variable is +-1, so it is t * |w[j]|
         step = Fraction(tn * abs(w[j]), tq)
-        steps.append(TraceStep(s, len(frac), step, tuple(fixed_now)))
-        frac = [e for e in cols if x[e] is None] + frac[s + 1 :]
+        steps.append(TraceStep(s, n_frac, step, tuple(fixed_now)))
+        n_frac -= len(fixed_now)
 
+    frac = [e for e in frac if x[e] is None]
     for e, val in _finalize_low_degree(h_graph, frac, num, den).items():
         x[e] = val
     return Weighting(x), RoundingTrace(tuple(steps))

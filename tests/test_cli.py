@@ -376,6 +376,32 @@ def test_output_files_take_the_mode_open_would_give(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
 
 
+def test_output_through_a_symlink_writes_its_target(tmp_path, capsys):
+    # -o on a link writes through it, as open(path, "w") does: a live
+    # link's target is replaced, a dangling link's target is created, and
+    # the link stays a link; a target in a missing directory is an error
+    # naming the link
+    gen = ["generate", "--model", "uniform", "--n", "8", "--r", "2", "--min-degree", "4", "--seed", "1"]
+    expected = serialize_hypergraph(generate(GenSpec("uniform", 8, 2, 4, 1)))
+    real, live = tmp_path / "real.hgr", tmp_path / "live.hgr"
+    real.write_text("stale\n")
+    live.symlink_to(real)
+    assert cli.main([*gen, "-o", str(live)]) == 0
+    assert live.is_symlink() and real.read_text() == expected
+    new, dangling = tmp_path / "new.hgr", tmp_path / "dangling.hgr"
+    dangling.symlink_to(new)
+    assert cli.main([*gen, "-o", str(dangling)]) == 0
+    assert dangling.is_symlink() and new.read_text() == expected
+    broken = tmp_path / "broken.hgr"
+    broken.symlink_to(tmp_path / "nodir" / "f.hgr")
+    capsys.readouterr()
+    assert cli.main([*gen, "-o", str(broken)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(broken)!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "broken.hgr", "dangling.hgr", "live.hgr", "new.hgr", "real.hgr"
+    ]
+
+
 @pytest.mark.parametrize(
     "out, error",
     [("nodir/f.hgr", "[Errno 2] No such file or directory"), ("adir", "[Errno 21] Is a directory")],

@@ -1,9 +1,12 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermaj.errors import InvariantBreach, PreconditionError
 from hypermaj.genlab import GenSpec, generate, verify
@@ -113,10 +116,10 @@ def test_partition_covers_every_edge_once():
     assert set(colouring.colours) == {1, 2, 3}
 
 
-# sha256 over the serialized colourings of these four instances (m = 451-847,
-# kernel windows of up to n = 40 and 60 rows), recorded with the kernel walk
-# that kept its weights as Fractions
-GOLDEN_PARTITION_SHA256 = "39cf30c26431d8e591e383e080966d1d4e2310d6dd1d4c7323ad991fd9f1bfe1"
+# sha256 over the serialized colourings of these four instances (m = 451-847),
+# recorded with the kept-window kernel walk; partition_rounds over
+# reference_round_weights in tests/test_rounder.py gives the same colourings
+GOLDEN_PARTITION_SHA256 = "e31685f2e5856314e987deffb713dfbd1f8ba69f5d3c6faa2aeca546d639552c"
 
 
 def test_colour_partition_golden_digest():
@@ -178,3 +181,68 @@ def test_exact_bound_arithmetic_with_fractional_b():
             count = sum(1 for e in h.incident_edges(v) if c[e] == colour)
             assert count <= F(h.degree(v), 16) * F(16, 2)
     assert verify(h, 2, c).valid
+
+
+def fraction_caps(d, delta, k, r, i):
+    """The round-i caps of a vertex of degree d, as the peeling argument
+    states them: B*delta/k and B*(delta - i*(delta/k - 2r)), B = d/delta."""
+    b = F(d, delta)
+    return b * F(delta, k), b * (delta - i * (F(delta, k) - 2 * r))
+
+
+def check_one_vertex(d, delta, k, r, i, class_deg, rem_deg):
+    """check_class_bounds on one vertex of degree d (d singleton edges), with
+    the first class_deg edges as the class and the first rem_deg as the
+    remaining edges; returns the breach or None."""
+    h = Hypergraph(1, [(0,)] * d)
+    try:
+        check_class_bounds(h, i, range(class_deg), range(rem_deg), delta, k, r)
+    except InvariantBreach as exc:
+        return exc
+    return None
+
+
+@st.composite
+def cap_cases(draw):
+    """Degrees, parameters and counts on, next to and away from both caps, so
+    that the equality edge comes up often."""
+    k = draw(st.integers(2, 5))
+    r = draw(st.integers(1, 4))
+    i = draw(st.integers(1, k))
+    delta = draw(st.integers(1, 40))
+    d = draw(st.integers(delta, 3 * delta))
+    counts = []
+    for cap in fraction_caps(d, delta, k, r, i):
+        near = {c for c in (math.floor(cap) - 1, math.floor(cap), math.floor(cap) + 1) if 0 <= c <= d}
+        pick = st.sampled_from(sorted(near)) if near else st.integers(0, d)
+        counts.append(draw(st.one_of(pick, st.integers(0, d))))
+    return d, delta, k, r, i, counts[0], counts[1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(cap_cases())
+def test_check_class_bounds_agrees_with_fraction_caps(case):
+    d, delta, k, r, i, class_deg, rem_deg = case
+    class_cap, rem_cap = fraction_caps(d, delta, k, r, i)
+    exc = check_one_vertex(*case)
+    if class_deg > class_cap:
+        assert str(exc) == "colour class degree exceeded its cap"
+        assert exc.context == {"v": 0, "i": i, "observed": class_deg, "bound": class_cap}
+    elif rem_deg > rem_cap:
+        assert str(exc) == "remaining degree exceeded its cap"
+        assert exc.context == {"v": 0, "i": i, "observed": rem_deg, "bound": rem_cap}
+    else:
+        assert exc is None
+
+
+def test_check_class_bounds_equality_edge():
+    # delta = 16, k = 2, r = 2, round 1: a degree-17 vertex has caps 17/2
+    # and 17/16 * 12 = 51/4, a degree-16 vertex 8 and 12; a count on the
+    # cap passes and one past it breaks
+    assert fraction_caps(16, 16, 2, 2, 1) == (8, 12)
+    assert check_one_vertex(16, 16, 2, 2, 1, 8, 12) is None
+    assert check_one_vertex(16, 16, 2, 2, 1, 9, 0).context["bound"] == 8
+    assert check_one_vertex(16, 16, 2, 2, 1, 0, 13).context["bound"] == 12
+    assert check_one_vertex(17, 16, 2, 2, 1, 8, 12) is None
+    assert check_one_vertex(17, 16, 2, 2, 1, 9, 0).context["bound"] == F(17, 2)
+    assert check_one_vertex(17, 16, 2, 2, 1, 0, 13).context["bound"] == F(51, 4)

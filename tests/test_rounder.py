@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypermaj import partition, rounder
 from hypermaj.errors import InvariantBreach
 from hypermaj.genlab import GenSpec, generate
 from hypermaj.hypercore import Hypergraph, Weighting
@@ -88,10 +89,18 @@ def reference_kernel(matrix):
 
 
 def reference_round_weights(h, z):
-    """The kernel walk in Fractions, as round_weights ran before it kept
-    integer pairs: the window of the first s+1 fractional edges over the s
-    constrained vertices is solved densely by reference_kernel, and every
-    step length and weight is a Fraction. Used as an oracle.
+    """The kernel walk in Fractions, with its window recounted from scratch
+    at every growth step. Used as an oracle.
+
+    The window is a set of fractional edges, each with a constrained member,
+    kept from one iteration to the next; its rows are the constrained
+    vertices it touches. Each iteration drops the window edges left with no
+    constrained member, then, while the window has no more columns than
+    rows, adds the fractional edge outside it with a constrained member
+    that brings the fewest new rows, ties to the lowest id. The system of
+    the rows over the window's columns in ascending id is solved densely by
+    reference_kernel, every step length and weight is a Fraction, and the
+    fixed edges leave the window.
 
     After every step it asserts the walk's invariants: each vertex
     constrained in that step keeps its incident sum of z, and every weight
@@ -100,29 +109,42 @@ def reference_round_weights(h, z):
     target = incidence_sums(h, z)
     x = {e: w for e, w in enumerate(z.weights) if w.denominator == 1}
     hv = {e: w for e, w in enumerate(z.weights) if w.denominator != 1}
+    window = set()
     steps = []
     while True:
-        frac = sorted(hv)
         frac_deg = {}
-        for e in frac:
+        for e in hv:
             for v in h.edges[e]:
                 frac_deg[v] = frac_deg.get(v, 0) + 1
-        constrained = sorted(v for v, d in frac_deg.items() if d > r)
+        constrained = {v for v, d in frac_deg.items() if d > r}
         if not constrained:
             break
-        s = len(constrained)
-        cols = frac[: s + 1]
+        window = {e for e in window if h.edges[e] & constrained}
+        while True:
+            rows = set()
+            for e in window:
+                rows |= h.edges[e] & constrained
+            if len(window) > len(rows):
+                break
+            candidates = [e for e in hv if e not in window and h.edges[e] & constrained]
+            assert candidates, "the walk guarantees a candidate while |W| <= |R|"
+            window.add(
+                min(candidates, key=lambda e: (len((h.edges[e] & constrained) - rows), e))
+            )
+        cols = sorted(window)
         d = reference_kernel(
-            [[1 if v in h.edges[e] else 0 for e in cols] for v in constrained]
+            [[1 if v in h.edges[e] else 0 for e in cols] for v in sorted(rows)]
         )
         moving = [(e, de) for e, de in zip(cols, d) if de]
         t = min((1 - hv[e]) / de if de > 0 else hv[e] / -de for e, de in moving)
+        n_frac = len(hv)
         fixed = []
         for e, de in moving:
             val = hv[e] + t * de
             if val in (0, 1):
                 x[e] = val
                 del hv[e]
+                window.discard(e)
                 fixed.append(e)
             else:
                 hv[e] = val
@@ -130,7 +152,7 @@ def reference_round_weights(h, z):
             total = sum((hv.get(e, x.get(e)) for e in h.incident_edges(v)), F(0))
             assert total == target[v]
         assert all(0 < val < 1 for val in hv.values())
-        steps.append(TraceStep(s, len(frac), t, tuple(fixed)))
+        steps.append(TraceStep(len(constrained), n_frac, t, tuple(fixed)))
     for e, val in hv.items():
         x[e] = F(1) if val >= F(1, 2) else F(0)
     return Weighting([x[e] for e in range(len(z))]), RoundingTrace(tuple(steps))
@@ -283,17 +305,28 @@ def test_round_star_system():
 
 
 def test_round_block_diagonal_system():
-    # two constrained vertices with disjoint fractional stars; the first
-    # window [[1, 1, 1], [0, 0, 0]] has an empty row, the second an empty
-    # column, whose unit vector is the kernel
+    # two constrained vertices with disjoint fractional stars. The window
+    # starts at edge 0 (row 0) and adds edge 1, which brings no new row;
+    # the kernel of [[1, 1]] is (1, -1) and fixes both. Vertex 0 then
+    # leaves the constrained set, edge 2 has no constrained member left,
+    # and the window starts again at edge 3 on vertex 4
     h = Hypergraph(8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)])
     x, trace = round_weights(h, Weighting([F(1, 2)] * 6))
     assert trace.iterations == (
         TraceStep(2, 6, F(1, 2), (0, 1)),
-        TraceStep(1, 4, F(1, 2), (2,)),
-        TraceStep(1, 3, F(1, 2), (3, 4)),
+        TraceStep(1, 4, F(1, 2), (3, 4)),
     )
     assert x.weights == (F(1), F(0), F(1), F(1), F(0), F(1))
+
+
+def test_window_growth_without_candidates_is_a_breach(monkeypatch):
+    # the walk always finds a candidate while the window has no more
+    # columns than rows; a bookkeeping fault that loses them all is
+    # reported, not looped on or stepped through
+    monkeypatch.setattr(rounder, "_pop_candidate", lambda buckets, state, n_out: -1)
+    h = Hypergraph(4, [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(InvariantBreach, match="ran out of candidate edges"):
+        round_weights(h, Weighting([F(2, 3)] * 3))
 
 
 def test_finalize_threshold_rule():
@@ -433,6 +466,35 @@ def test_round_matches_fraction_reference_property(case):
     assert round_weights(h, z) == reference_round_weights(h, z)
 
 
+def test_kernel_windows_stay_local(monkeypatch):
+    # counts, not times: every system the walk hands _first_dependent has
+    # more columns than rows, and its rows are well short of the whole
+    # constrained set. On this instance (m = 1541) the kept windows average
+    # about 64 rows against about 107 constrained vertices; windows over the
+    # whole constrained set, as the walk once used, average about 108 rows
+    systems = []
+    steps = []
+
+    def first_dependent(rows, holders):
+        systems.append((len(rows), len(holders)))
+        return solve(rows, holders)
+
+    def round_weights_traced(h_graph, z):
+        x, trace = solve_round(h_graph, z)
+        steps.extend(trace.iterations)
+        return x, trace
+
+    solve, solve_round = rounder._first_dependent, partition.round_weights
+    monkeypatch.setattr(rounder, "_first_dependent", first_dependent)
+    monkeypatch.setattr(partition, "round_weights", round_weights_traced)
+    partition.colour_partition(generate(GenSpec("uniform", 120, 3, 24, 5)), 2)
+    assert len(systems) == len(steps) > 1000
+    assert all(cols > rows for rows, cols in systems)
+    mean_rows = sum(rows for rows, _ in systems) / len(systems)
+    mean_constrained = sum(step.n_constrained for step in steps) / len(steps)
+    assert mean_rows < 0.75 * mean_constrained
+
+
 def test_round_trace_progress():
     rng = random.Random(12)
     for _ in range(40):
@@ -473,10 +535,10 @@ def test_round_small_instances_match_brute_force():
         assert tuple(int(w) for w in x.weights) in feasible
 
 
-# sha256 of golden_rounding_digest(), recorded with the dense Bareiss kernel
-# that preceded the sparse one; a change to any rounded weight or trace step
-# of these calls changes it.
-GOLDEN_ROUNDING_SHA256 = "ccfe05f9cad0257f141967fcddb3b1438c6c65cbc0618afe9c99ce01c31c2559"
+# sha256 of golden_rounding_digest() under the kept-window rule, which
+# reference_round_weights reproduces; a change to any rounded weight or trace
+# step of these calls changes it.
+GOLDEN_ROUNDING_SHA256 = "754ec5c3fb8dc20c0e160a20ba52fbda52a0c17d331bf00f20612b44301461af"
 
 
 def golden_rounding_calls():
