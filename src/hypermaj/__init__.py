@@ -6,8 +6,8 @@ provided, each behind its own precondition:
 
 - colour_partition: any hypergraph with min degree >= 2 * rank * k^2;
   palette k+1, built by iterative discrepancy rounding.
-- colour_linear: linear hypergraphs with min degree >= k^2 - k;
-  palette k*rank + 1, built by vertex splitting and greedy colouring.
+- colour_linear: any hypergraph with min degree >= k^2 - k; palette
+  k*rank + 1, built by vertex splitting and greedy colouring.
 - resample_colour: randomized with local resampling; guided by the
   degree threshold from the probabilistic argument.
 

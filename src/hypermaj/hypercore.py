@@ -142,33 +142,6 @@ class Hypergraph:
         """Largest edge size, or 0 when there are no edges."""
         return max(map(len, self.edges), default=0)
 
-    def linearity_witness(self) -> Optional[tuple[int, int]]:
-        """First pair of edge indices sharing two or more vertices, or
-        None when the hypergraph is linear.
-
-        The edges at v meet only at v exactly when their union has
-        sum(|e| - 1) + 1 vertices, so each vertex is tested with one union.
-        Only when some vertex fails is the witness searched for: two edges
-        share >= 2 vertices exactly when they share a vertex pair, so one
-        pass over the pairs inside each edge finds the first.
-        """
-        edges = self.edges
-        sizes = [len(fs) - 1 for fs in edges]
-        for incident in self._incidence:
-            if len(incident) > 1 and len(
-                frozenset().union(*map(edges.__getitem__, incident))
-            ) != sum(map(sizes.__getitem__, incident)) + 1:
-                break
-        else:
-            return None
-        seen: dict[tuple[int, int], int] = {}
-        for e, fs in enumerate(self.edges):
-            for pair in itertools.combinations(sorted(fs), 2):
-                if pair in seen:
-                    return (seen[pair], e)
-                seen[pair] = e
-        return None
-
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n_vertices:
             raise ValueError(f"vertex-id {v} out of range [0, {self.n_vertices})")

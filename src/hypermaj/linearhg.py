@@ -1,17 +1,28 @@
-"""Majority colouring of linear hypergraphs via vertex splitting.
+"""Majority colouring by vertex splitting, for any hypergraph with
+minimum degree at least k^2 - k.
 
-For a linear hypergraph (no two edges share more than one vertex) with
-minimum degree at least k^2 - k, a kr+1 palette suffices where r is the
-rank. The route:
+With r the rank, a kr+1 palette suffices. The route:
 
   1. Split every vertex u into t_u = floor(d(u)/k) sub-vertices, the
      first m_u = d(u) mod k of degree k+1 and the rest of degree k.
-     The resulting hypergraph H* has max degree k+1 and stays linear.
-  2. Colour the line graph of H*, whose max degree is at most kr,
-     first-fit in ascending edge order, with at most kr+1 colours.
+     The resulting hypergraph H* has max degree k+1 and the edges of H,
+     each with one sub-vertex in place of each of its vertices.
+  2. Colour the line graph of H* first-fit in ascending edge order.
   3. Read the colours back as edge colours of H (the split leaves edge
-     ids untouched). No colour repeats at a sub-vertex, so at each
-     original vertex u a colour appears at most t_u times.
+     ids untouched).
+
+Neither bound needs H to be linear:
+
+  - Majority. The edges of one block of u meet at one sub-vertex, so
+    first-fit gives them distinct colours, and u has t_u blocks: a
+    colour appears at most floor(d(u)/k) times at u.
+  - Palette. When e is coloured, each of its |e| blocks holds at most k
+    other edges, so at most |e|k colours are taken and e gets a colour
+    of at most |e|k + 1 <= kr + 1. Two edges that share two vertices
+    only make the set of taken colours smaller than that count.
+
+Linearity matters only to H*: two edges sharing two sub-vertices share
+two vertices, so H* is linear when H is.
 
 colour_linear does steps 2 and 3 in one pass in ascending edge order,
 with a cursor per vertex u instead of H* or the line graph. Block j of
@@ -31,13 +42,10 @@ bound uses: each vertex's blocks are consecutive runs of k or k+1 edges
 that cover its ascending incidence. It is checked in bulk on the block
 lengths against the degrees; split_hypergraph, the one caller that hands
 out block contents, also compares the concatenated blocks with the
-concatenated incidence. On a linear input the rule is enough: u has at
-most floor(d(u)/k) blocks of at most k+1 edges each, every edge gets
-one sub-vertex per vertex (so sizes and the rank are kept), and two
-edges sharing two sub-vertices would share two vertices, so H* is
-linear. colour_linear's cursor reads only the lengths, so its check
-stops there; it also checks the line-graph degree against
-rank * (largest block - 1) and the colours against the palette.
+concatenated incidence, so every edge gets one distinct sub-vertex per
+vertex and keeps its size. colour_linear's cursor reads only the
+lengths, so its check stops there; it also checks the colours against
+the palette.
 
 Determinism: incident edges are dealt to sub-vertices in ascending
 edge-id order, and first-fit also runs in ascending edge order.
@@ -96,16 +104,10 @@ def _deal(incident: tuple[int, ...], k: int) -> VertexSplit:
 
 
 def _check_splittable(h_graph: Hypergraph, k: int) -> None:
-    """The split's preconditions: k >= 2, a linear input and minimum
-    degree at least k^2 - k."""
+    """The split's preconditions: k >= 2 and minimum degree at least
+    k^2 - k. The input need not be linear."""
     if k < 2:
         raise PreconditionError(f"k must be at least 2, got {k}")
-    witness = h_graph.linearity_witness()
-    if witness is not None:
-        raise PreconditionError(
-            f"input is not linear: edges {witness[0] + 1} and {witness[1] + 1}"
-            " share two or more vertices"
-        )
     delta = min(h_graph.degrees(), default=k * k - k)
     if delta < k * k - k:
         raise PreconditionError(
@@ -156,7 +158,8 @@ def split_hypergraph(
 ) -> tuple[Hypergraph, tuple[VertexSplit, ...]]:
     """Replace each vertex by its sub-vertices; every edge keeps its id
     and size, with each endpoint swapped for the sub-vertex it was dealt
-    to. The result has max degree at most k+1 and is again linear.
+    to. The result has max degree at most k+1, and it is linear when
+    h_graph is.
 
     Returns H* and one VertexSplit per vertex. Sub-vertices are numbered
     vertex by vertex, so sub-vertex j of u has global id j plus the t of
@@ -167,7 +170,7 @@ def split_hypergraph(
     lengths = [tuple(map(len, bs)) for bs in blocks]
     _certify_runs(h_graph, k, lengths, blocks)
     # H* needs no validation: certified runs give every edge one distinct
-    # sub-vertex per vertex, and the input is linear, so H* is
+    # in-range sub-vertex per vertex, so its edges are non-empty sets
     members: list[list[int]] = [[] for _ in h_graph.edges]
     for s, block in enumerate(chain.from_iterable(blocks)):
         for e in block:
@@ -214,7 +217,7 @@ def greedy_colour(lg: LineGraph) -> tuple[int, ...]:
 
 def _cursor_fit(
     edges: tuple[frozenset[int], ...], lengths: list[tuple[int, ...]]
-) -> tuple[list[int], int]:
+) -> list[int]:
     """greedy_colour(line_graph(H*)) for the H* whose sub-vertices are
     runs of each vertex's ascending incidence, lengths[u] long.
 
@@ -223,53 +226,37 @@ def _cursor_fit(
     already holds (bit c - 1 for colour c) and an iterator over the block
     lengths still to come. The blocks of e hold only earlier edges, so
     the OR of their masks is the set first-fit reads, and e takes its
-    lowest clear bit. Returns the colours and the line graph's max degree:
-    sum(block length - 1) over e's blocks is |N(e)| - 1 when H* is linear,
-    N(e) being the edges sharing a sub-vertex with e, e included."""
+    lowest clear bit."""
     coming = list(map(iter, lengths))
-    size = [next(it, 0) for it in coming]
-    left = size[:]
+    left = [next(it, 0) for it in coming]
     mask = [0] * len(lengths)
     colours = [0] * len(edges)
-    top = 0
     for e, fs in enumerate(edges):
         used = 0
-        degree = -len(fs)
         for u in fs:
             used |= mask[u]
-            degree += size[u]
         bit = ~used & (used + 1)
         colours[e] = bit.bit_length()
-        if degree > top:
-            top = degree
         for u in fs:
             n = left[u] - 1
             if n:
                 left[u] = n
                 mask[u] |= bit
             else:
-                left[u] = size[u] = next(coming[u], 0)
+                left[u] = next(coming[u], 0)
                 mask[u] = 0
-    return colours, top
+    return colours
 
 
 def colour_linear(h_graph: Hypergraph, k: int) -> Colouring:
     """Colouring with palette k*rank+1 in which every vertex u sees each
-    colour at most floor(d(u)/k) times. Input must be linear with
-    minimum degree at least k^2 - k."""
+    colour at most floor(d(u)/k) times. Input needs k >= 2 and minimum
+    degree at least k^2 - k; it need not be linear."""
     _check_splittable(h_graph, k)
     lengths = [tuple(map(len, _deal(incident, k).blocks)) for incident in h_graph.incidence()]
     _certify_runs(h_graph, k, lengths)
-    colours, degree = _cursor_fit(h_graph.edges, lengths)
-    rank = h_graph.rank()
-    if h_graph.edges:
-        # the split keeps the rank, and H*'s max degree is the largest block
-        cap = rank * (max(chain.from_iterable(lengths)) - 1)
-        if degree > cap:
-            raise InvariantBreach(
-                "line graph degree exceeded its cap", max_degree=degree, cap=cap
-            )
-    palette = k * rank + 1
+    colours = _cursor_fit(h_graph.edges, lengths)
+    palette = k * h_graph.rank() + 1
     top = max(colours, default=0)
     if top > palette:
         raise InvariantBreach(

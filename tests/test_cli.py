@@ -116,12 +116,24 @@ def test_verify_length_mismatch_exit_2(tmp_path, capsys):
     assert captured.err == "error: colouring has 2 entries for 3 edges\n"
 
 
-def test_colour_linear_rejects_non_linear_input(tmp_path):
+def test_colour_linear_accepts_non_linear_input(tmp_path):
+    # the complete 3-uniform hypergraph on 4 vertices: every two edges
+    # share two vertices, and every vertex has degree 3 >= k^2 - k
     hgr = tmp_path / "in.hgr"
+    split = tmp_path / "split.txt"
+    hgr.write_text("4 4\n1 2 3\n1 2 4\n3 4 1\n2 3 4\n")
+    res = run_cli(
+        "colour", "--algorithm", "linear", "--k", "2", str(hgr), "--emit-split", str(split)
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "# palette 7\n1\n2\n3\n4\n"
+    assert "valid=true" in res.stderr
+    assert split.read_text() == "1 1 1: 1,2,3\n2 1 1: 1,2,4\n3 1 1: 1,3,4\n4 1 1: 2,3,4\n"
+    # below the degree bound a non-linear file is refused for its degree
     hgr.write_text("2 4\n1 2 3\n1 2 4\n")
     res = run_cli("colour", "--algorithm", "linear", "--k", "2", str(hgr))
     assert res.returncode == 2
-    assert "edges 1 and 2" in res.stderr
+    assert res.stderr == "error: min degree 1 below k^2 - k = 2 for k = 2\n"
 
 
 def test_colour_linear_empty_file_exit_0(tmp_path):
@@ -137,7 +149,7 @@ def test_colour_linear_internal_breach_exit_3(tmp_path, monkeypatch, capsys):
     hgr = tmp_path / "in.hgr"
     out = tmp_path / "out.col"
     hgr.write_text(TRIANGLE)
-    monkeypatch.setattr(linearhg, "_cursor_fit", lambda edges, lengths: ([6] * len(edges), 0))
+    monkeypatch.setattr(linearhg, "_cursor_fit", lambda edges, lengths: [6] * len(edges))
     code = cli.main(
         ["colour", "--algorithm", "linear", "--k", "2", str(hgr), "-o", str(out)]
     )

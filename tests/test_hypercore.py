@@ -1,4 +1,3 @@
-import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -134,40 +133,17 @@ def test_degree_no_edges():
 def test_degree_multi_edges():
     h = Hypergraph(2, [(0, 1), (0, 1), (0, 1)])
     assert h.degree(1) == 3
-    assert h.linearity_witness() is not None  # repeated size-2 edge shares both vertices
 
 
 def test_min_degree_rank_linear_trivia():
     tri = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
     assert tri.min_degree() == 2
     assert tri.rank() == 2
-    assert tri.linearity_witness() is None
-
-    h = Hypergraph(4, [(0, 1, 2), (0, 1, 3)])
-    assert h.linearity_witness() is not None
-    assert h.linearity_witness() == (0, 1)
-
-    h2 = Hypergraph(6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)])
-    assert h2.linearity_witness() is None
 
 
 def test_min_degree_zero_vertices_is_error():
     with pytest.raises(ValueError):
         Hypergraph(0, []).min_degree()
-
-
-def test_is_linear_edge_order_invariant():
-    rng = random.Random(8)
-    for _ in range(20):
-        n = rng.randint(3, 10)
-        edges = [
-            tuple(rng.sample(range(n), rng.randint(2, 3))) for _ in range(rng.randint(2, 8))
-        ]
-        h = Hypergraph(n, edges)
-        shuffled = list(edges)
-        rng.shuffle(shuffled)
-        linear = h.linearity_witness() is None
-        assert linear == (Hypergraph(n, shuffled).linearity_witness() is None)
 
 
 def test_min_degree_at_most_average():
@@ -558,50 +534,3 @@ def test_trusted_build_indexes_like_the_constructor():
     assert h.degrees() == public.degrees() == (2, 3, 2, 0)
     assert h.incidence() == public.incidence() == ((0, 2), (1, 2, 3), (0, 2), ())
 
-
-def reference_linearity_witness(h):
-    """The pair scan alone: the first edge whose vertex pair an earlier
-    edge already holds, with that earlier edge."""
-    seen = {}
-    for e, fs in enumerate(h.edges):
-        for pair in itertools.combinations(sorted(fs), 2):
-            if pair in seen:
-                return (seen[pair], e)
-            seen[pair] = e
-    return None
-
-
-@st.composite
-def near_linear_hypergraphs(draw):
-    """A random linear hypergraph (edges that would share a pair are
-    dropped), with repeated size-1 edges, and then up to two breaks: a
-    vertex of one edge added to another edge at a shared vertex, or an
-    edge of size >= 2 repeated."""
-    n = draw(st.integers(1, 14))
-    edges, pairs = [], set()
-    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True)
-    for members in draw(st.lists(edge, max_size=16)):
-        inside = set(itertools.combinations(sorted(members), 2))
-        if not inside & pairs:
-            pairs |= inside
-            edges.append(members)
-    edges += [[draw(st.integers(0, n - 1))] for _ in range(draw(st.integers(0, 3)))]
-    for _ in range(draw(st.integers(0, 2))):
-        if not edges:
-            break
-        a = draw(st.integers(0, len(edges) - 1))
-        if draw(st.booleans()):
-            b = draw(st.integers(0, len(edges) - 1))
-            extra = [v for v in edges[b] if v not in edges[a]]
-            if extra and set(edges[a]) & set(edges[b]):
-                edges[a] = edges[a] + [draw(st.sampled_from(extra))]
-        elif len(edges[a]) >= 2:
-            edges.insert(draw(st.integers(0, len(edges))), list(edges[a]))
-    draw(st.randoms()).shuffle(edges)
-    return Hypergraph(n, edges)
-
-
-@settings(max_examples=400, deadline=None)
-@given(near_linear_hypergraphs())
-def test_linearity_witness_matches_pair_scan_property(h):
-    assert h.linearity_witness() == reference_linearity_witness(h)

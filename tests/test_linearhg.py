@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from conftest import reference_linearity_witness
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,11 +71,11 @@ def test_split_degrees_preconditions():
 
 def test_split_fano_is_identity():
     # all degrees 3, k=2: m=1, t=1, a single sub-vertex of degree 3
-    assert FANO.linearity_witness() is None
+    assert reference_linearity_witness(FANO) is None
     h_star, splits = split_hypergraph(FANO, 2)
     assert h_star.n_vertices == 7
     assert h_star.max_degree() == 3  # = k+1
-    assert h_star.linearity_witness() is None
+    assert reference_linearity_witness(h_star) is None
     assert all(s.m == 1 and s.t == 1 for s in splits)
     assert sorted(map(sorted, h_star.edges)) == sorted(map(sorted, FANO.edges))
 
@@ -96,7 +97,7 @@ def test_split_counts_conserved():
             assert h_star.n_vertices == sum(s.t for s in splits)
             assert h_star.rank() == h.rank()
             assert h_star.max_degree() <= k + 1
-            assert h_star.linearity_witness() is None
+            assert reference_linearity_witness(h_star) is None
             for u in range(h.n_vertices):
                 sizes = sorted(len(b) for b in splits[u].blocks)
                 assert sum(sizes) == h.degree(u)
@@ -127,13 +128,18 @@ def test_split_blocks_ascending_edge_order():
     assert all(len(b) == 2 for b in split4.blocks)
 
 
-def test_split_rejects_non_linear():
+def test_split_accepts_non_linear():
+    # the complete 3-uniform hypergraph on 4 vertices: every two edges
+    # share two vertices, and every vertex has degree 3 >= k^2 - k at k=2,
+    # so each vertex keeps one sub-vertex and H* is H again
     h = Hypergraph(4, [(0, 1, 2), (0, 1, 3), (2, 3, 0), (1, 2, 3)])
-    with pytest.raises(PreconditionError) as exc:
-        split_hypergraph(h, 2)
-    assert "linear" in str(exc.value)
-    # edges are named 1-based, as in every diagnostic
-    assert "edges 1 and 2" in str(exc.value)
+    assert reference_linearity_witness(h) == (0, 1)
+    h_star, splits = split_hypergraph(h, 2)
+    assert h_star == h
+    assert all(s.m == 1 and s.t == 1 for s in splits)
+    c = colour_linear(h, 2)
+    assert c == Colouring((1, 2, 3, 4), 7)
+    assert verify(h, 2, c).valid
 
 
 def test_line_graph_triangle():
@@ -251,7 +257,7 @@ def test_colour_linear_seeded_grid():
 
 
 def test_colour_linear_propagates_preconditions():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="min degree 1 below"):
         colour_linear(Hypergraph(4, [(0, 1, 2), (0, 1, 3)]), 2)
     low = Hypergraph(3, [(0, 1), (1, 2)])
     with pytest.raises(PreconditionError):
@@ -265,7 +271,7 @@ def test_colour_linear_empty_hypergraph():
 def test_colour_linear_breach_when_greedy_overflows_palette(monkeypatch):
     # a first-fit step that ignored its degree bound would hand back a
     # colour beyond k*rank+1; the colourer must refuse it
-    monkeypatch.setattr(linearhg, "_cursor_fit", lambda edges, lengths: ([6] * len(edges), 0))
+    monkeypatch.setattr(linearhg, "_cursor_fit", lambda edges, lengths: [6] * len(edges))
     with pytest.raises(InvariantBreach) as exc:
         colour_linear(complete_graph(4), 2)
     assert exc.value.context == {"colour": 6, "palette": 5}
@@ -274,13 +280,8 @@ def test_colour_linear_breach_when_greedy_overflows_palette(monkeypatch):
 def reference_split(h_graph, k):
     """split_hypergraph as it was before H* was built from its blocks: a
     sub-vertex lookup per vertex, H* through the validating constructor,
-    and its linearity checked by a second pass over H*."""
-    witness = h_graph.linearity_witness()
-    if witness is not None:
-        raise PreconditionError(
-            f"input is not linear: edges {witness[0] + 1} and {witness[1] + 1}"
-            " share two or more vertices"
-        )
+    and a second pass over H* to check that it is linear when the input
+    is."""
     delta = min(h_graph.degrees(), default=k * k - k)
     if delta < k * k - k:
         raise PreconditionError(
@@ -304,7 +305,10 @@ def reference_split(h_graph, k):
     new_edges = [tuple(sub_of[v][e] for v in edge) for e, edge in enumerate(h_graph.edges)]
     h_star = Hypergraph(total, new_edges)
     assert max(h_star.degrees(), default=0) <= k + 1
-    assert h_star.linearity_witness() is None
+    # only one way: edges sharing two vertices of h_graph can be dealt to
+    # different sub-vertices, so H* can be linear when h_graph is not
+    if reference_linearity_witness(h_graph) is None:
+        assert reference_linearity_witness(h_star) is None
     assert h_star.rank() == h_graph.rank()
     return h_star, tuple(splits)
 
@@ -322,30 +326,40 @@ def reference_line_graph(h_star):
 
 
 @st.composite
-def linear_cases(draw):
-    """(h, k): generated linear and graph instances, and hand-made linear
-    ones whose low-degree vertices are topped up with repeated size-1
-    edges, in some cases to a multiple of k (every block then holds k
-    edges, so the line-graph cap is rank * (k - 1)); some keep an
-    isolated vertex or a vertex below k^2 - k, which the split must
-    reject exactly as the reference does."""
+def split_cases(draw):
+    """(h, k): generated linear and graph instances, uniform ones on few
+    vertices (their edges share pairs and may repeat), and hand-made
+    ones, linear or not, whose low-degree vertices are topped up with
+    repeated size-1 edges, in some cases to a multiple of k (every block
+    then holds k edges, so the line-graph cap is rank * (k - 1)). A
+    hand-made non-linear case keeps the edges that share a pair and
+    repeats some edges whole. Some cases keep an isolated vertex or a
+    vertex below k^2 - k, which the split must reject exactly as the
+    reference does."""
     k = draw(st.integers(2, 4))
-    model = draw(st.sampled_from(("linear", "graph", "hand")))
+    model = draw(st.sampled_from(("linear", "graph", "uniform", "hand")))
     if model != "hand":
-        r = 2 if model == "graph" else draw(st.integers(3, 4))
         degree = draw(st.integers(k * k - k, k * k - k + 3))
-        # about twice the vertices a vertex's edges span, so the generator
-        # never runs out of linear edges to draw
-        n = draw(st.integers(2 * degree * (r - 1) + 2, 2 * degree * (r - 1) + 10))
+        if model == "uniform":
+            r = draw(st.integers(2, 5))
+            n = draw(st.integers(r, r + 4))
+        else:
+            r = 2 if model == "graph" else draw(st.integers(3, 4))
+            # about twice the vertices a vertex's edges span, so the
+            # generator never runs out of linear edges to draw
+            n = draw(st.integers(2 * degree * (r - 1) + 2, 2 * degree * (r - 1) + 10))
         return generate(GenSpec(model, n, r, degree, draw(st.integers(0, 2**16)))), k
     n = draw(st.integers(1, 10))
+    linear = draw(st.booleans())
     edges, pairs = [], set()
     edge = st.lists(st.integers(0, n - 1), min_size=min(n, 2), max_size=4, unique=True)
     for members in draw(st.lists(edge, max_size=14)):
         inside = {(a, b) for a in members for b in members if a < b}
-        if not inside & pairs:
+        if not (linear and inside & pairs):
             pairs |= inside
             edges.append(members)
+    if not linear and edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
     degree = [0] * n
     for e in edges:
         for v in e:
@@ -378,7 +392,7 @@ def split_outcome(split, lg, h, k):
 
 
 @settings(max_examples=300, deadline=None)
-@given(linear_cases())
+@given(split_cases())
 def test_split_matches_reference_property(case):
     h, k = case
     assert split_outcome(
@@ -457,15 +471,6 @@ def test_split_breach_edge_size(monkeypatch):
     assert_runs_breach(FANO, 2, 0, (), 3)
 
 
-def test_colour_linear_breach_when_line_graph_degree_passes_cap(monkeypatch):
-    # K4 at k=2 deals each vertex one block of 3 edges, so the cap is
-    # rank * (3 - 1) = 4; a neighbourhood count above it is refused
-    monkeypatch.setattr(linearhg, "_cursor_fit", lambda edges, lengths: ([1] * len(edges), 5))
-    with pytest.raises(InvariantBreach, match="line graph degree") as exc:
-        colour_linear(complete_graph(4), 2)
-    assert exc.value.context == {"max_degree": 5, "cap": 4}
-
-
 def test_colour_linear_breach_when_a_block_is_empty(monkeypatch):
     # an empty block is a sub-vertex of degree 0, a run shorter than k
     real = linearhg._deal
@@ -517,7 +522,7 @@ def reference_colour_linear(h, k):
 
 
 @settings(max_examples=300, deadline=None)
-@given(linear_cases())
+@given(split_cases())
 def test_colour_linear_matches_line_graph_route_property(case):
     h, k = case
     assert colouring_outcome(colour_linear, h, k) == colouring_outcome(
@@ -525,8 +530,22 @@ def test_colour_linear_matches_line_graph_route_property(case):
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+def test_colour_linear_majority_within_palette_property(case):
+    # both bounds hold on any input with the degree, linear or not
+    h, k = case
+    if min(h.degrees(), default=k * k - k) < k * k - k:
+        with pytest.raises(PreconditionError, match="min degree"):
+            colour_linear(h, k)
+        return
+    colouring = colour_linear(h, k)
+    assert max(colouring.colours, default=1) <= k * h.rank() + 1
+    assert verify(h, k, colouring).valid
+
+
 @settings(max_examples=200, deadline=None)
-@given(linear_cases())
+@given(split_cases())
 def test_colour_linear_distinct_within_every_split_block_property(case):
     # ties the colouring to the emitted split: the edges of one block meet
     # at one sub-vertex, so they must all differ
