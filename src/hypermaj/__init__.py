@@ -15,94 +15,24 @@ The rounding engine (round_weights) and the verifier/generators are
 public as well.
 """
 
-from .errors import (
-    FormatError,
-    GenerationError,
-    InvariantBreach,
-    PreconditionError,
-)
-from .genlab import (
-    GenSpec,
-    VerifyReport,
-    Violation,
-    brute_force,
-    generate,
-    verify,
-)
-from .hypercore import (
-    Colouring,
-    Hypergraph,
-    Weighting,
-    parse_colouring,
-    parse_hypergraph,
-    parse_weights,
-    serialize_colouring,
-    serialize_hypergraph,
-    serialize_weights,
-)
-from .linearhg import (
-    LineGraph,
-    colour_linear,
-    greedy_colour,
-    line_graph,
-    split_hypergraph,
-)
-from .lll import (
-    ResampleRun,
-    bad_vertices,
-    inequalities_hold,
-    resample_colour,
-    threshold,
-    threshold_details,
-)
-from .partition import (
-    alpha_schedule,
-    colour_partition,
-    partition_rounds,
-)
-from .rounder import (
-    RoundingTrace,
-    TraceStep,
-    round_weights,
-)
+from . import errors, genlab, hypercore, linearhg, lll, partition, rounder
+from .errors import *  # noqa: F403
+from .genlab import *  # noqa: F403
+from .hypercore import *  # noqa: F403
+from .linearhg import *  # noqa: F403
+from .lll import *  # noqa: F403
+from .partition import *  # noqa: F403
+from .rounder import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# each module's __all__ is the one list of what it exports
 __all__ = [
-    "Colouring",
-    "FormatError",
-    "GenSpec",
-    "GenerationError",
-    "Hypergraph",
-    "InvariantBreach",
-    "LineGraph",
-    "PreconditionError",
-    "ResampleRun",
-    "RoundingTrace",
-    "TraceStep",
-    "VerifyReport",
-    "Violation",
-    "Weighting",
-    "alpha_schedule",
-    "bad_vertices",
-    "brute_force",
-    "colour_linear",
-    "colour_partition",
-    "generate",
-    "greedy_colour",
-    "inequalities_hold",
-    "line_graph",
-    "parse_colouring",
-    "parse_hypergraph",
-    "parse_weights",
-    "partition_rounds",
-    "resample_colour",
-    "round_weights",
-    "serialize_colouring",
-    "serialize_hypergraph",
-    "serialize_weights",
-    "split_hypergraph",
-    "threshold",
-    "threshold_details",
-    "verify",
+    *errors.__all__,
+    *genlab.__all__,
+    *hypercore.__all__,
+    *linearhg.__all__,
+    *lll.__all__,
+    *partition.__all__,
+    *rounder.__all__,
 ]

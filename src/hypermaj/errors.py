@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "FormatError",
+    "PreconditionError",
+    "InvariantBreach",
+    "GenerationError",
+]
+
 
 class FormatError(ValueError):
     """A text input (HGR, colouring, or weights file) is malformed.

@@ -23,9 +23,6 @@ __all__ = [
     "brute_force",
     "GenSpec",
     "generate",
-    "gen_uniform",
-    "gen_linear",
-    "gen_regular",
 ]
 
 BRUTE_FORCE_LIMIT = 10**8

@@ -46,7 +46,6 @@ from typing import Iterable, Optional
 from .errors import FormatError
 
 __all__ = [
-    "MAX_VERTICES",
     "Hypergraph",
     "Colouring",
     "Weighting",

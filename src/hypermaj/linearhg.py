@@ -33,9 +33,10 @@ colours that block already holds, and the lengths still to come. An
 edge e takes the lowest colour missing from the OR of its vertices'
 masks; the blocks of e hold only earlier edges at that point, so this
 is exactly the set first-fit on the line graph reads. split_hypergraph,
-line_graph and greedy_colour stay public as the reference construction
-of the same route, and the CLI's --emit-split prints split_hypergraph's
-blocks.
+line_graph and greedy_colour build the same route step by step. Only
+split_hypergraph is package API, and the CLI's --emit-split prints its
+blocks; line_graph, greedy_colour and LineGraph are a module-level
+reference that tests and the benchmark use.
 
 Both entry points certify the split by one rule, the one the majority
 bound uses: each vertex's blocks are consecutive runs of k or k+1 edges
@@ -59,14 +60,7 @@ from itertools import chain, islice
 from .errors import InvariantBreach, PreconditionError
 from .hypercore import Colouring, Hypergraph
 
-__all__ = [
-    "VertexSplit",
-    "LineGraph",
-    "split_hypergraph",
-    "line_graph",
-    "greedy_colour",
-    "colour_linear",
-]
+__all__ = ["split_hypergraph", "colour_linear"]
 
 
 @dataclass(frozen=True)

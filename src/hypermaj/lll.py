@@ -65,7 +65,6 @@ __all__ = [
     "inequalities_hold",
     "threshold",
     "threshold_details",
-    "bad_vertices",
     "resample_colour",
 ]
 

@@ -31,7 +31,6 @@ from .rounder import round_weights
 
 __all__ = [
     "alpha_schedule",
-    "check_class_bounds",
     "partition_rounds",
     "colour_partition",
 ]

@@ -317,24 +317,19 @@ def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, Roundin
         else:
             num[e], den[e] = w.numerator, w.denominator
     frac = [e for e in range(m) if x[e] is None]  # ascending
-    frac_deg = [0] * h_graph.n_vertices
-    for e in frac:
-        for v in edges[e]:
-            frac_deg[v] += 1
     # each constrained vertex (fractional degree above r) maps to the set of
     # its fractional edges; it leaves when that set shrinks to r
-    constrained = {
-        v: {e for e in incidence[v] if x[e] is None}
-        for v in range(h_graph.n_vertices)
-        if frac_deg[v] > r
-    }
+    constrained: dict[int, set[int]] = {}
+    for v, inc in enumerate(incidence):
+        mine = {e for e in inc if x[e] is None}
+        if len(mine) > r:
+            constrained[v] = mine
     # state[e] is _IN_WINDOW for a window edge, _CANDIDATE for a fractional
     # edge outside the window with a constrained member, and 0 otherwise; an
-    # edge at 0 stays there, as the constrained set only shrinks. n_con[e]
-    # counts e's constrained members, n_out[e] those outside the rows, and
-    # buckets[c] holds every candidate with n_out c (see _pop_candidate).
+    # edge at 0 stays there, as the constrained set only shrinks. n_out[e]
+    # counts e's constrained members outside the rows, and buckets[c] holds
+    # every candidate with n_out c (see _pop_candidate).
     state = [0] * m
-    n_con = [0] * m
     n_out = [0] * m
     buckets: list[list[int]] = [[] for _ in range(r + 1)]
     live = constrained.keys()  # a view: it follows the deletions below
@@ -342,7 +337,7 @@ def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, Roundin
         c = len(live & edges[e])
         if c:
             state[e] = _CANDIDATE
-            n_con[e] = n_out[e] = c
+            n_out[e] = c
             buckets[c].append(e)  # ascending, so already a heap
     window: set[int] = set()
     # window edges at each constrained vertex; the rows are the vertices
@@ -411,8 +406,7 @@ def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, Roundin
                     del constrained[v]
                     n_rows -= 1
                     for f in mine:
-                        n_con[f] -= 1
-                        if not n_con[f]:
+                        if live.isdisjoint(edges[f]):
                             if state[f] == _IN_WINDOW:
                                 window.discard(f)
                             state[f] = 0
