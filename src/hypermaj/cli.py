@@ -10,7 +10,9 @@ algorithm's own guarantee failed, which is a bug, not bad input).
 any input is read; so are colour's --seed below 0 or above MAX_SEED and
 --trials above MAX_TRIALS. A negative seed would repeat the draws of its
 absolute value, since random.Random seeds from |seed|; generate refuses
-one too (exit 2).
+one too (exit 2). round --trace-file refuses a trace with a step past
+Python's limit on converting an int to text (4300 digits by default):
+exit 2 naming the iteration, with neither file written.
 
 Result lines are plain `key=value` text by default, or one JSON object
 per line with the same fields under --format json-lines. When colouring
@@ -258,7 +260,16 @@ def _cmd_round(args, rep: Reporter) -> int:
         lines = []
         for i, step in enumerate(trace.iterations, start=1):
             ids = ",".join(str(e + 1) for e in step.fixed)
-            lines.append(f"iter {i} fixed {ids} step {step.step}")
+            try:
+                lines.append(f"iter {i} fixed {ids} step {step.step}")
+            except ValueError:
+                # the step's numerator or denominator is past the limit;
+                # neither file has been written yet
+                limit = sys.get_int_max_str_digits()
+                raise PreconditionError(
+                    f"iteration {i}: the trace step has more than {limit} digits, "
+                    f"the limit on converting an int to text"
+                ) from None
         _atomic_write(args.trace_file, "".join(line + "\n" for line in lines))
     stream = _deliver(serialize_weights(x), args.output)
     _summary(rep, stream, "round", None, None, True, t0)

@@ -270,9 +270,9 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
         if toks and toks[0].startswith("%"):
             continue
         try:
-            # members in file order: a frozenset's iteration order can
-            # depend on insertion order, and the rounder and resampler
-            # follow it
+            # a frozenset's iteration order can depend on the order its
+            # members were added, but no result does: the rounder and the
+            # three colourers read an edge as a set
             fs = frozenset(map(lookup, toks))
         except ValueError:
             fs = frozenset()

@@ -53,7 +53,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator
 
 from .errors import InvariantBreach, PreconditionError
@@ -212,15 +212,15 @@ def resample_colour(
         for v in fs:
             counts[v][c] += 1
     over = [sum(n > b for n in per) for per, b in zip(counts, bounds)]
-    # A min-heap of vertex ids, each at most once (queued), that holds every
-    # bad vertex; entries that turned good are dropped when they reach the
-    # top. Ascending ids already form a heap.
-    heap = [v for v, n in enumerate(over) if n]
-    queued = [n > 0 for n in over]
-    rounds = 0
-    while True:
+    # A min-heap of every bad vertex, built in the first round: v is pushed
+    # as over[v] goes from 0 to 1 and good entries are dropped at the top;
+    # a rebuild past 2n entries clears repeats at O(1) amortised per push.
+    heap: list[int] = []
+    for rounds in count():
+        if not heap or len(heap) > 2 * len(over):
+            heap = [v for v, n in enumerate(over) if n]  # ascending: a heap
         while heap and not over[heap[0]]:
-            queued[heapq.heappop(heap)] = False
+            heapq.heappop(heap)
         if not heap or rounds >= max_rounds:
             outcome = "exhausted" if heap else "success"
             return ResampleRun(
@@ -240,7 +240,5 @@ def resample_colour(
                 per[new] += 1
                 if per[new] == b + 1:
                     over[u] += 1
-                    if not queued[u]:
-                        queued[u] = True
+                    if over[u] == 1:
                         heapq.heappush(heap, u)
-        rounds += 1

@@ -11,8 +11,9 @@ incidence system:
      the constrained set. Moving the fractional weights along a kernel
      vector d of their incidence rows over the fractional edges preserves
      every constrained vertex's incident sum exactly.
-  3. The step length is the largest t with h + t*d still inside [0, 1];
-     every component that lands on 0 or 1 becomes fixed.
+  3. The step length is the largest t with h + t*d still inside [0, 1].
+     An edge is fixed when its exact weight becomes an integer, which at
+     that t happens exactly to the components that land on 0 or 1.
   4. Once no vertex is constrained, each remaining fractional edge rounds
      to the nearer integer (ties up). A vertex that left the constrained
      set has at most r fractional edges, each moving by strictly less
@@ -42,11 +43,12 @@ All arithmetic is exact, and the walk's is integer. The kernel comes from
 a sparse fraction-free elimination of the window's integer incidence rows
 in column order (W in ascending edge id), with a row divided by the gcd of
 its entries after any update that could multiply them, followed by an
-integer back-substitution. The walk keeps every fractional weight as a
-reduced numerator/denominator pair and steps along the integer kernel
-vector w by a step length t that is also a pair; the leftovers are rounded
-from those pairs. Fractions appear only in the input Weighting, in
-TraceStep.step and in the returned Weighting.
+integer back-substitution. The walk keeps each weight only as a reduced
+numerator/denominator pair, so an edge is fractional exactly while its
+denominator exceeds 1, and steps along the integer kernel vector w by a
+step length t that is also a pair; the leftovers are rounded in those
+pairs. Fractions appear only in the input Weighting, in TraceStep.step
+and in the returned Weighting.
 
 The kernel vector w is unique up to scale: it ends at the first column j
 of the window that depends on the columns before it. TraceStep.step is
@@ -73,12 +75,6 @@ __all__ = [
 ]
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_CANDIDATE = 1
-_IN_WINDOW = 2
-
-
 @dataclass(frozen=True)
 class TraceStep:
     """One kernel-walk iteration.
@@ -88,7 +84,8 @@ class TraceStep:
     window's rows. n_frac: the number of all fractional edges before the
     step, not only the window's. step: t*|w[j]|, the step length along the
     kernel vector whose first free variable is 1 (see the module
-    docstring). fixed: the edges the step landed on 0 or 1, ascending.
+    docstring). fixed: the edges whose exact weight the step made an
+    integer (0 or 1), ascending.
     """
 
     n_constrained: int
@@ -212,17 +209,15 @@ def _back_substitute(
 
 def _step(
     nums: Sequence[int], dens: Sequence[int], dirs: Sequence[int]
-) -> tuple[int, int, list[int]]:
+) -> tuple[int, int]:
     """Largest t = t_num/t_den > 0 with h + t*dirs inside [0, 1], where
-    h[i] = nums[i]/dens[i] with dens[i] > 0, and the positions that land
-    exactly on 0 or 1 at that t.
+    h[i] = nums[i]/dens[i] with dens[i] > 0.
 
     The bound of each moving component is kept as num/den with den > 0 and
     compared by cross-multiplication; t is not reduced. Components with
     dirs = 0 never move; every h must be strictly interior.
     """
     t_num, t_den = 0, 0
-    hits: list[int] = []
     for i, (hn, hq, di) in enumerate(zip(nums, dens, dirs)):
         if not 0 < hn < hq:
             raise InvariantBreach(
@@ -236,19 +231,17 @@ def _step(
             continue
         if not t_den or num * t_den < t_num * den:
             t_num, t_den = num, den
-            hits = [i]
-        elif num * t_den == t_num * den:
-            hits.append(i)
     if not t_den:
         raise InvariantBreach("kernel vector has no movable component")
-    return t_num, t_den, hits
+    return t_num, t_den
 
 
 def _finalize_low_degree(
-    h_graph: Hypergraph, frac: Sequence[int], num: Sequence[int], den: Sequence[int]
-) -> dict[int, Fraction]:
+    h_graph: Hypergraph, frac: Sequence[int], num: list[int], den: list[int]
+) -> None:
     """Round the leftover fractional edges frac, edge e of weight
-    num[e]/den[e], to the nearer integer (ties up).
+    num[e]/den[e], to the nearer integer (ties up), in place: num[e]
+    becomes 0 or 1 and den[e] 1.
 
     Only legal once every vertex has fractional degree at most rank; the
     at-most-r remaining edges per vertex each move by strictly less than 1,
@@ -269,10 +262,12 @@ def _finalize_low_degree(
                 frac_degree=fd,
                 rank=r,
             )
-    return {e: _ONE if 2 * num[e] >= den[e] else _ZERO for e in frac}
+    for e in frac:
+        num[e] = 1 if 2 * num[e] >= den[e] else 0
+        den[e] = 1
 
 
-def _pop_candidate(buckets: list[list[int]], state: list[int], n_out: list[int]) -> int:
+def _pop_candidate(buckets: list[list[int]], candidate: list[bool], n_out: list[int]) -> int:
     """Pop and return the lowest id in the lowest bucket that holds a live
     candidate, or -1 when no bucket does. buckets[c] is a min-heap of edge
     ids that held c constrained members outside the rows when pushed; an
@@ -282,7 +277,7 @@ def _pop_candidate(buckets: list[list[int]], state: list[int], n_out: list[int])
     for c, heap in enumerate(buckets):
         while heap:
             e = pop(heap)
-            if state[e] == _CANDIDATE and n_out[e] == c:
+            if candidate[e] and n_out[e] == c:
                 return e
     return -1
 
@@ -305,38 +300,31 @@ def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, Roundin
     incidence = h_graph.incidence()
     gcd = math.gcd
     push = heapq.heappush
-    # x[e] is None exactly while e is fractional; its weight is then the
-    # reduced integer pair num[e] / den[e]
-    x: list[Fraction | None] = [None] * m
-    num = [0] * m
-    den = [1] * m
-    for e in range(m):
-        w = z[e]
-        if w.denominator == 1:
-            x[e] = w
-        else:
-            num[e], den[e] = w.numerator, w.denominator
-    frac = [e for e in range(m) if x[e] is None]  # ascending
+    # edge e's weight is the reduced pair num[e] / den[e]; e is fractional
+    # exactly while den[e] > 1
+    num = [w.numerator for w in z]
+    den = [w.denominator for w in z]
+    frac = [e for e in range(m) if den[e] > 1]  # ascending
     # each constrained vertex (fractional degree above r) maps to the set of
     # its fractional edges; it leaves when that set shrinks to r
     constrained: dict[int, set[int]] = {}
     for v, inc in enumerate(incidence):
-        mine = {e for e in inc if x[e] is None}
+        mine = {e for e in inc if den[e] > 1}
         if len(mine) > r:
             constrained[v] = mine
-    # state[e] is _IN_WINDOW for a window edge, _CANDIDATE for a fractional
-    # edge outside the window with a constrained member, and 0 otherwise; an
-    # edge at 0 stays there, as the constrained set only shrinks. n_out[e]
-    # counts e's constrained members outside the rows, and buckets[c] holds
-    # every candidate with n_out c (see _pop_candidate).
-    state = [0] * m
+    # candidate[e]: e is fractional, outside the window and has a
+    # constrained member; an edge that stops being one never becomes one
+    # again, as the constrained set only shrinks. n_out[e] counts e's
+    # constrained members outside the rows, and buckets[c] holds every
+    # candidate with n_out c (see _pop_candidate).
+    candidate = [False] * m
     n_out = [0] * m
     buckets: list[list[int]] = [[] for _ in range(r + 1)]
     live = constrained.keys()  # a view: it follows the deletions below
     for e in frac:
         c = len(live & edges[e])
         if c:
-            state[e] = _CANDIDATE
+            candidate[e] = True
             n_out[e] = c
             buckets[c].append(e)  # ascending, so already a heap
     window: set[int] = set()
@@ -349,14 +337,14 @@ def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, Roundin
     steps: list[TraceStep] = []
     while constrained:
         while len(window) <= n_rows:
-            e = _pop_candidate(buckets, state, n_out)
+            e = _pop_candidate(buckets, candidate, n_out)
             if e < 0:
                 raise InvariantBreach(
                     "window growth ran out of candidate edges",
                     rows=n_rows,
                     cols=len(window),
                 )
-            state[e] = _IN_WINDOW
+            candidate[e] = False
             window.add(e)
             for v in edges[e]:
                 if v in constrained:
@@ -364,7 +352,7 @@ def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, Roundin
                     if in_rows[v] == 1:
                         n_rows += 1
                         for f in constrained[v]:
-                            if state[f] == _CANDIDATE:
+                            if candidate[f]:
                                 n_out[f] -= 1
                                 push(buckets[n_out[f]], f)
         # the window has more columns than its rows, so it holds a
@@ -382,16 +370,24 @@ def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, Roundin
                 else:
                     rows[v] = {c: 1}
         w, j = _first_dependent(rows, holders)
-        tn, tq, hits = _step([num[e] for e in cols], [den[e] for e in cols], w)
+        tn, tq = _step([num[e] for e in cols], [den[e] for e in cols], w)
         g = gcd(tn, tq)
         tn, tq = tn // g, tq // g
-        s = len(constrained)
+        # h + t*w over one common denominator, reduced; the edges at the
+        # bound t land exactly on 0 or 1, and they are the ones fixed
         fixed_now = []
-        for idx in hits:
-            e = cols[idx]
-            x[e] = _ONE if w[idx] > 0 else _ZERO
-            fixed_now.append(e)
-            state[e] = 0
+        for e, we in zip(cols, w):
+            if we:
+                hq = den[e]
+                a, b = num[e] * tq + tn * we * hq, hq * tq
+                g = gcd(a, b)
+                num[e], den[e] = a // g, b // g
+                if den[e] == 1:
+                    fixed_now.append(e)
+        if not fixed_now:
+            raise InvariantBreach("kernel step fixed no edge", cols=len(cols))
+        s = len(constrained)
+        for e in fixed_now:
             window.discard(e)
             for v in edges[e]:
                 mine = constrained.get(v)
@@ -407,31 +403,22 @@ def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, Roundin
                     n_rows -= 1
                     for f in mine:
                         if live.isdisjoint(edges[f]):
-                            if state[f] == _IN_WINDOW:
-                                window.discard(f)
-                            state[f] = 0
+                            window.discard(f)
+                            candidate[f] = False
                 else:
                     in_rows[v] -= 1
                     if not in_rows[v]:
                         n_rows -= 1
                         for f in mine:
-                            if state[f] == _CANDIDATE:
+                            if candidate[f]:
                                 n_out[f] += 1
                                 push(buckets[n_out[f]], f)
-        for e, we in zip(cols, w):
-            if we and x[e] is None:
-                # h + t*w over one common denominator, reduced
-                hq = den[e]
-                a, b = num[e] * tq + tn * we * hq, hq * tq
-                g = gcd(a, b)
-                num[e], den[e] = a // g, b // g
         # the trace's step is along d = w / |w[j]|, whose first free
         # variable is +-1, so it is t * |w[j]|
         step = Fraction(tn * abs(w[j]), tq)
         steps.append(TraceStep(s, n_frac, step, tuple(fixed_now)))
         n_frac -= len(fixed_now)
 
-    frac = [e for e in frac if x[e] is None]
-    for e, val in _finalize_low_degree(h_graph, frac, num, den).items():
-        x[e] = val
-    return Weighting(x), RoundingTrace(tuple(steps))
+    _finalize_low_degree(h_graph, [e for e in frac if den[e] > 1], num, den)
+    bits = (Fraction(0), Fraction(1))
+    return Weighting([bits[n] for n in num]), RoundingTrace(tuple(steps))

@@ -268,6 +268,32 @@ def test_round_subcommand_with_trace(tmp_path):
     assert first[2] == "fixed" and first[4] == "step"
 
 
+def test_round_trace_past_digit_limit_exit_2(tmp_path, capsys):
+    # weights of about 4200 digits round fine, but a trace step of this
+    # walk has more digits than an int may be converted to text with: the
+    # trace is refused by iteration, nothing is written, and the
+    # interpreter's limit is left as it was
+    edges = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5), (2, 6), (3, 6), (1, 6), (4, 6)]
+    hgr = tmp_path / "h.hgr"
+    win = tmp_path / "w.txt"
+    out = tmp_path / "out"
+    trace = tmp_path / "tr"
+    hgr.write_text(f"{len(edges)} 6\n" + "".join(f"{a} {b}\n" for a, b in edges))
+    qs = [10**4200 + 2 * i + 1 for i in range(len(edges))]
+    win.write_text("".join(f"{q // 3}/{q}\n" for q in qs))
+    limit = sys.get_int_max_str_digits()
+    argv = ["round", str(hgr), str(win), "-o", str(out)]
+    assert cli.main(argv + ["--trace-file", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: iteration ")
+    assert f"more than {limit} digits" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not trace.exists()
+    assert sys.get_int_max_str_digits() == limit
+    assert cli.main(argv) == 0
+    assert len(parse_weights(out.read_text())) == len(edges)
+
+
 def test_round_weight_count_mismatch(tmp_path):
     hgr = tmp_path / "in.hgr"
     win = tmp_path / "w.txt"

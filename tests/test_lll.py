@@ -1,7 +1,9 @@
 import functools
 import hashlib
+import heapq
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -313,6 +315,28 @@ def test_resample_exhausts_on_impossible_instance():
     assert run.outcome == "exhausted"
     assert run.rounds_used == 37
     assert run.max_rounds == 37
+
+
+def test_resample_heap_stays_within_twice_the_vertices(monkeypatch):
+    # at k = 3 this 16-regular instance spends its whole cap. Vertices
+    # below the heap's top turn bad again and again, each time with one
+    # more entry; without a rebuild the heap held 206223 entries after
+    # 100000 rounds on these 60 vertices. With it, the heap never passes 2n
+    # plus one round's pushes, at most d(v) * r
+    h = generate(GenSpec("regular", 60, 3, 16, 3))
+    sizes = []
+
+    def heappush(heap, v):
+        heapq.heappush(heap, v)
+        sizes.append(len(heap))
+
+    monkeypatch.setattr(
+        lll, "heapq", types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop)
+    )
+    run = resample_colour(h, 3, 1729, 5000)
+    assert run.outcome == "exhausted"
+    assert len(sizes) > 4 * h.n_vertices
+    assert max(sizes) <= 2 * h.n_vertices + 16 * 3
 
 
 def test_resample_infeasible_fails_fast():

@@ -265,25 +265,13 @@ def test_kernel_big_entries_stay_exact():
 def test_step_to_boundary_worked_examples():
     # _step(nums, dens, dirs) steps h[i] = nums[i]/dens[i] along the integer
     # direction dirs; the step length comes back as an unreduced pair
-    tn, tq, hits = _step([2, 2, 2], [3, 3, 3], [1, -1, 0])
-    assert (F(tn, tq), hits) == (F(1, 3), [0])
-    tn, tq, hits = _step([1], [2], [1])
-    assert (F(tn, tq), hits) == (F(1, 2), [0])
-    tn, tq, hits = _step([1, 3], [4, 4], [1, 1])
-    assert (F(tn, tq), hits) == (F(1, 4), [1])
-    tn, tq, hits = _step([1, 1], [4, 2], [6, -1])
-    assert (F(tn, tq), hits) == (F(1, 8), [0])
-    tn, tq, hits = _step([1, 1, 2], [2, 3, 5], [3, -2, 0])
-    assert (F(tn, tq), hits) == (F(1, 6), [0, 1])
+    assert F(*_step([2, 2, 2], [3, 3, 3], [1, -1, 0])) == F(1, 3)
+    assert F(*_step([1], [2], [1])) == F(1, 2)
+    assert F(*_step([1, 3], [4, 4], [1, 1])) == F(1, 4)
+    assert F(*_step([1, 1], [4, 2], [6, -1])) == F(1, 8)
+    assert F(*_step([1, 1, 2], [2, 3, 5], [3, -2, 0])) == F(1, 6)
     # a large direction entry shrinks the step exactly
-    tn, tq, hits = _step([1, 999], [1000, 1000], [2**40, -1])
-    assert (F(tn, tq), hits) == (F(999, 1000 * 2**40), [0])
-
-
-def test_step_to_boundary_simultaneous_hits():
-    tn, tq, hits = _step([1, 1], [2, 2], [1, -1])
-    assert F(tn, tq) == F(1, 2)
-    assert hits == [0, 1]
+    assert F(*_step([1, 999], [1000, 1000], [2**40, -1])) == F(999, 1000 * 2**40)
 
 
 def test_step_to_boundary_errors():
@@ -330,13 +318,34 @@ def test_window_growth_without_candidates_is_a_breach(monkeypatch):
 
 
 def test_finalize_threshold_rule():
-    # edge e of weight num[e]/den[e] rounds up exactly when 2*num >= den
+    # edge e of weight num[e]/den[e] rounds up exactly when 2*num >= den,
+    # in place; edges outside frac are left as they are
     h = Hypergraph(3, [(0, 1), (1, 2)])
-    assert _finalize_low_degree(h, [0], [1, 0], [3, 1]) == {0: F(0)}
-    assert _finalize_low_degree(h, [0], [1, 0], [2, 1]) == {0: F(1)}
-    assert _finalize_low_degree(h, [0, 1], [499, 501], [1000, 1000]) == {0: F(0), 1: F(1)}
-    assert _finalize_low_degree(h, [1], [0, 2], [1, 3]) == {1: F(1)}
-    assert _finalize_low_degree(h, [], [0, 0], [1, 1]) == {}
+    for frac, num, den, after in [
+        ([0], [1, 0], [3, 1], ([0, 0], [1, 1])),
+        ([0], [1, 0], [2, 1], ([1, 0], [1, 1])),
+        ([0, 1], [499, 501], [1000, 1000], ([0, 1], [1, 1])),
+        ([1], [0, 2], [1, 3], ([0, 1], [1, 1])),
+        ([], [0, 1], [1, 1], ([0, 1], [1, 1])),
+        ([0], [1, 2], [3, 3], ([0, 2], [1, 3])),
+    ]:
+        assert _finalize_low_degree(h, frac, num, den) is None
+        assert (num, den) == after
+
+
+def test_step_that_fixes_nothing_is_a_breach(monkeypatch):
+    # half the step lands no edge on 0 or 1; the walk reports that rather
+    # than stepping again without end
+    step = rounder._step
+
+    def half_step(nums, dens, dirs):
+        tn, tq = step(nums, dens, dirs)
+        return tn, 2 * tq
+
+    monkeypatch.setattr(rounder, "_step", half_step)
+    h = Hypergraph(4, [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(InvariantBreach, match="fixed no edge"):
+        round_weights(h, Weighting([F(2, 3)] * 3))
 
 
 def test_finalize_rejects_constrained_leftovers():
