@@ -13,26 +13,44 @@ provided, each behind its own precondition:
 
 The rounding engine (round_weights) and the verifier/generators are
 public as well.
+
+The package loads its modules lazily (PEP 562): a bare `import hypermaj`
+loads none of them, and a name is looked up, and its modules loaded, on
+first use. A submodule (a library module or cli) resolves by its name,
+__all__ to the concatenation of the library modules' lists in _MODULES
+order, and any other public name to the object of the first module
+whose __all__ lists it.
 """
 
-from . import errors, genlab, hypercore, linearhg, lll, partition, rounder
-from .errors import *  # noqa: F403
-from .genlab import *  # noqa: F403
-from .hypercore import *  # noqa: F403
-from .linearhg import *  # noqa: F403
-from .lll import *  # noqa: F403
-from .partition import *  # noqa: F403
-from .rounder import *  # noqa: F403
+import importlib
 
 __version__ = "0.1.0"
 
-# each module's __all__ is the one list of what it exports
-__all__ = [
-    *errors.__all__,
-    *genlab.__all__,
-    *hypercore.__all__,
-    *linearhg.__all__,
-    *lll.__all__,
-    *partition.__all__,
-    *rounder.__all__,
-]
+# the modules whose __all__ lists make up the package's, in this order
+_MODULES = ("errors", "genlab", "hypercore", "linearhg", "lll", "partition", "rounder")
+
+# The instance models of genlab.generate, stated here so that the CLI can
+# offer them as --model choices without loading genlab.
+GEN_MODELS = ("uniform", "linear", "graph", "regular")
+
+
+def _module(name: str):
+    return importlib.import_module(f"{__name__}.{name}")
+
+
+def __getattr__(name: str):
+    if name in _MODULES or name == "cli":
+        return _module(name)
+    if name == "__all__":
+        value = [n for m in _MODULES for n in _module(m).__all__]
+    else:
+        # private and dunder names are never exported: a probe for one
+        # (hasattr(hypermaj, "__wrapped__")) loads nothing
+        home = None
+        if not name.startswith("_"):
+            home = next((mod for mod in map(_module, _MODULES) if name in mod.__all__), None)
+        if home is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(home, name)
+    globals()[name] = value
+    return value

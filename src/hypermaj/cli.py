@@ -23,34 +23,28 @@ atomically (temp file in the target directory, then rename), with the
 mode open(path, "w") would give: 0o666 less the umask for a new file,
 the old mode for an overwritten one. Input files are read as bytes and
 decoded by the parsers, so one that is not UTF-8 is malformed (exit 2).
+
+A call loads only the library modules its subcommand runs, since
+without a bytecode cache every call compiles each module it imports:
+threshold loads lll alone, verify and generate hypercore and genlab.
+json loads only for --format json-lines, and fractions only for it or
+for weights (round, colour --algorithm partition). Each library name a
+handler calls is resolved on first use by this module's __getattr__
+(see _HOMES).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import importlib
 import os
 import stat
 import sys
-import tempfile
 import time
-from fractions import Fraction
 
+from . import GEN_MODELS
 from .errors import FormatError, GenerationError, InvariantBreach, PreconditionError
-from .genlab import GEN_MODELS, GenSpec, brute_force, generate, verify
-from .hypercore import (
-    parse_colouring,
-    parse_hypergraph,
-    parse_weights,
-    serialize_colouring,
-    serialize_hypergraph,
-    serialize_weights,
-)
-from .linearhg import colour_linear, split_hypergraph
-from .lll import resample_colour, threshold_details
-from .partition import partition_rounds
-from .rounder import round_weights
 
 DEFAULT_SEED = 1729
 
@@ -71,6 +65,43 @@ MAX_TRIALS = 10**4
 
 __all__ = ["DEFAULT_SEED", "main"]
 
+# The home module of every library name a handler calls. The handlers
+# reach these names as attributes of _lib, which reads them from this
+# module's namespace at each call: a name resolves through __getattr__
+# below, loading its home module, the first time a handler calls it, and
+# a value set on the module (a test's stand-in, a tracer's wrapper) is
+# the one called.
+_HOMES = {
+    **dict.fromkeys(
+        ("parse_hypergraph", "parse_colouring", "parse_weights",
+         "serialize_colouring", "serialize_hypergraph", "serialize_weights"),
+        "hypercore",
+    ),
+    **dict.fromkeys(("GenSpec", "generate", "verify", "brute_force"), "genlab"),
+    **dict.fromkeys(("colour_linear", "split_hypergraph"), "linearhg"),
+    **dict.fromkeys(("resample_colour", "threshold_details"), "lll"),
+    "partition_rounds": "partition",
+    "round_weights": "rounder",
+}
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+class _Library:
+    def __getattr__(self, name: str):
+        namespace = globals()
+        return namespace[name] if name in namespace else __getattr__(name)
+
+
+_lib = _Library()
+
 
 class Reporter:
     """Emits result lines as text or JSON objects with the same fields."""
@@ -80,6 +111,9 @@ class Reporter:
 
     def emit(self, kind: str, fields: dict, stream, text: str | None = None) -> None:
         if self.fmt == "json-lines":
+            import json
+            from fractions import Fraction
+
             record = {"type": kind}
             for key, value in fields.items():
                 if isinstance(value, Fraction):
@@ -109,6 +143,8 @@ def _atomic_write(path: str, text: str) -> None:
     keeps its own, a new file 0o666 less the umask (mkstemp alone would
     leave 0o600). An OSError names path, not the target or the temp
     file."""
+    import tempfile
+
     target = os.path.realpath(path)
     tmp = None
     try:
@@ -190,13 +226,13 @@ def _split_lines(splits) -> str:
 
 def _cmd_colour(args, rep: Reporter) -> int:
     t0 = time.perf_counter()
-    h_graph = parse_hypergraph(_read(args.input))
+    h_graph = _lib.parse_hypergraph(_read(args.input))
     k = args.k
     rows = []  # (kind, fields, text) report lines, emitted after delivery
     failed = False  # no random-lll trial succeeded
 
     if args.algorithm == "partition":
-        colouring, alphas = partition_rounds(h_graph, k)
+        colouring, alphas = _lib.partition_rounds(h_graph, k)
         if args.trace:
             for i, a in enumerate(alphas, start=1):
                 row = {"round": i, "alpha": a, "class_size": colouring.colours.count(i)}
@@ -204,22 +240,22 @@ def _cmd_colour(args, rep: Reporter) -> int:
                 rows.append(("round", row, text))
     elif args.algorithm == "linear":
         if args.emit_split:
-            _, splits = split_hypergraph(h_graph, k)
+            _, splits = _lib.split_hypergraph(h_graph, k)
             _atomic_write(args.emit_split, _split_lines(splits))
-        colouring = colour_linear(h_graph, k)
+        colouring = _lib.colour_linear(h_graph, k)
     else:  # random-lll
         # only the colouring to print (first success, else the first
         # trial's) and one row per trial outlive a trial
         colouring = None
         for seed in range(args.seed, args.seed + args.trials):
-            run = resample_colour(h_graph, k, seed, args.max_rounds)
+            run = _lib.resample_colour(h_graph, k, seed, args.max_rounds)
             if colouring is None or (failed and run.outcome == "success"):
                 failed = run.outcome != "success"
                 colouring = run.colouring
             row = {"seed": run.seed, "outcome": run.outcome, "rounds": run.rounds_used}
             rows.append(("trial", row, None))
 
-    stream = _deliver(serialize_colouring(colouring), args.output)
+    stream = _deliver(_lib.serialize_colouring(colouring), args.output)
     for kind, row, text in rows:
         rep.emit(kind, row, stream, text)
     palette = colouring.palette_size
@@ -229,7 +265,7 @@ def _cmd_colour(args, rep: Reporter) -> int:
     if args.no_verify:
         _summary(rep, stream, args.algorithm, k, palette, None, t0)
         return 0
-    report = verify(h_graph, k, colouring)
+    report = _lib.verify(h_graph, k, colouring)
     _summary(rep, stream, args.algorithm, k, palette, report.valid, t0)
     if not report.valid:
         _emit_violations(rep, report)
@@ -239,9 +275,9 @@ def _cmd_colour(args, rep: Reporter) -> int:
 
 def _cmd_verify(args, rep: Reporter) -> int:
     t0 = time.perf_counter()
-    h_graph = parse_hypergraph(_read(args.input))
-    colouring = parse_colouring(_read(args.colours))
-    report = verify(h_graph, args.k, colouring)
+    h_graph = _lib.parse_hypergraph(_read(args.input))
+    colouring = _lib.parse_colouring(_read(args.colours))
+    report = _lib.verify(h_graph, args.k, colouring)
     _summary(
         rep, sys.stdout, "verify", args.k, colouring.palette_size, report.valid, t0
     )
@@ -253,9 +289,9 @@ def _cmd_verify(args, rep: Reporter) -> int:
 
 def _cmd_round(args, rep: Reporter) -> int:
     t0 = time.perf_counter()
-    h_graph = parse_hypergraph(_read(args.input))
-    z = parse_weights(_read(args.weights), expected=len(h_graph.edges))
-    x, trace = round_weights(h_graph, z)
+    h_graph = _lib.parse_hypergraph(_read(args.input))
+    z = _lib.parse_weights(_read(args.weights), expected=len(h_graph.edges))
+    x, trace = _lib.round_weights(h_graph, z)
     if args.trace_file:
         lines = []
         for i, step in enumerate(trace.iterations, start=1):
@@ -271,13 +307,13 @@ def _cmd_round(args, rep: Reporter) -> int:
                     f"the limit on converting an int to text"
                 ) from None
         _atomic_write(args.trace_file, "".join(line + "\n" for line in lines))
-    stream = _deliver(serialize_weights(x), args.output)
+    stream = _deliver(_lib.serialize_weights(x), args.output)
     _summary(rep, stream, "round", None, None, True, t0)
     return 0
 
 
 def _cmd_threshold(args, rep: Reporter) -> int:
-    delta, lhs1, lhs2 = threshold_details(args.k, args.r)
+    delta, lhs1, lhs2 = _lib.threshold_details(args.k, args.r)
     rep.emit(
         "threshold",
         {"k": args.k, "r": args.r, "delta_star": delta, "lhs1": lhs1, "lhs2": lhs2},
@@ -288,15 +324,15 @@ def _cmd_threshold(args, rep: Reporter) -> int:
 
 def _cmd_generate(args, rep: Reporter) -> int:
     t0 = time.perf_counter()
-    spec = GenSpec(
+    spec = _lib.GenSpec(
         model=args.model,
         n=args.n,
         r=args.r,
         min_degree=args.min_degree,
         seed=args.seed,
     )
-    h_graph = generate(spec)
-    stream = _deliver(serialize_hypergraph(h_graph), args.output)
+    h_graph = _lib.generate(spec)
+    stream = _deliver(_lib.serialize_hypergraph(h_graph), args.output)
     rep.emit(
         "generated",
         {
@@ -314,12 +350,12 @@ def _cmd_generate(args, rep: Reporter) -> int:
 
 def _cmd_oracle(args, rep: Reporter) -> int:
     t0 = time.perf_counter()
-    h_graph = parse_hypergraph(_read(args.input))
-    colouring = brute_force(h_graph, args.k, args.palette)
+    h_graph = _lib.parse_hypergraph(_read(args.input))
+    colouring = _lib.brute_force(h_graph, args.k, args.palette)
     if colouring is None:
         _summary(rep, sys.stdout, "oracle", args.k, args.palette, False, t0)
         return 1
-    stream = _deliver(serialize_colouring(colouring), args.output)
+    stream = _deliver(_lib.serialize_colouring(colouring), args.output)
     _summary(rep, stream, "oracle", args.k, args.palette, True, t0)
     return 0
 

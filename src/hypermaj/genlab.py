@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from . import GEN_MODELS
+from ._record import frozen_record
 from .errors import GenerationError, PreconditionError
 from .hypercore import MAX_VERTICES, Colouring, Hypergraph
 
@@ -26,8 +27,6 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 10**8
-
-GEN_MODELS = ("uniform", "linear", "graph", "regular")
 
 # consecutive rejected samples before a gen_linear pass is a dead end
 LINEAR_RETRY_BUDGET = 10_000
@@ -57,7 +56,7 @@ class Violation(NamedTuple):
     bound: int
 
 
-@dataclass(frozen=True)
+@frozen_record
 class VerifyReport:
     valid: bool
     violations: tuple[Violation, ...]
@@ -136,7 +135,7 @@ def brute_force(h: Hypergraph, k: int, palette: int) -> Optional[Colouring]:
     return Colouring(chosen, palette)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class GenSpec:
     """Parameters of a seeded random instance. Construction checks every
     precondition of the model, so a generator only samples: n, r and

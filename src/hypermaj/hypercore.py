@@ -31,19 +31,30 @@ The last two go through the private Hypergraph._trusted, which takes
 edges that already hold every invariant, builds the incidence lists from
 them and validates nothing; nothing else may call it.
 
+Hypergraph, Colouring and Weighting are frozen records (_record): equal
+and of one hash when their fields are, printed as Name(field=value, ...),
+and immutable. A Hypergraph's fields are n_vertices and edges; its
+incidence lists and degrees are derived from them and take no part.
+
 Colouring files hold one integer colour per line (line i = colour of edge i)
 with an optional ``# palette <C>`` header. Weights files hold one rational
-per line, written either as ``p/q`` or as a decimal.
+per line, written either as ``p/q`` or as a decimal; fractions is imported
+only where weights are handled. An error quotes at most _ECHO_CHARS
+characters of a refused token or number, and names Python's limit on
+converting text to an int when a token's digits pass it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional
+import sys
+from typing import TYPE_CHECKING, Iterable, Optional
 
+from ._record import frozen_record
 from .errors import FormatError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Hypergraph",
@@ -60,8 +71,12 @@ __all__ = [
 # Largest vertex count a file header or a generator may ask for.
 MAX_VERTICES = 2**22
 
+# Most characters of one input token or number that an error message
+# quotes: a refused line may be megabytes long.
+_ECHO_CHARS = 32
 
-@dataclass(frozen=True)
+
+@frozen_record
 class Hypergraph:
     """Immutable hypergraph: a vertex count and an ordered list of edges."""
 
@@ -146,7 +161,7 @@ class Hypergraph:
             raise ValueError(f"vertex-id {v} out of range [0, {self.n_vertices})")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Colouring:
     """Edge colouring: one 1-based colour per edge plus the palette size."""
 
@@ -175,13 +190,15 @@ class Colouring:
         return self.colours[i]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Weighting:
     """One rational weight in [0, 1] per edge, kept exact."""
 
     weights: tuple[Fraction, ...]
 
     def __init__(self, weights: Iterable):
+        from fractions import Fraction
+
         # a Fraction's denominator is positive, so 0 <= w <= 1 compares ints
         ws = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in weights)
         for i, w in enumerate(ws):
@@ -211,6 +228,29 @@ def _decode(text: str | bytes) -> str:
         raise FormatError(
             line, f"not UTF-8: cannot decode byte 0x{text[exc.start]:02x}"
         ) from None
+
+
+def _clip(text: str) -> str:
+    """text as an error message quotes it: its first _ECHO_CHARS
+    characters, then "..." when there are more."""
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+
+
+def _refused(what: str, tok: str, message: str) -> str:
+    """message, the error for a tok that int() or Fraction() refused,
+    unless a run of digits in tok is longer than Python's limit on
+    converting text to an int: then that limit is the reason to name,
+    since tok may well be a number."""
+    import re
+
+    limit = sys.get_int_max_str_digits()
+    digits = max(map(len, re.findall(r"\d+", tok)), default=0)
+    if limit and digits > limit:
+        return (
+            f"{what} {_clip(repr(tok))} has {digits} digits, more than "
+            f"Python's limit of {limit} on converting text to an int"
+        )
+    return message
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -251,16 +291,19 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
     head = lines[head_no - 1].strip()
     parts = head.split()
     if len(parts) != 2:
-        raise FormatError(head_no, f"malformed header {head!r}; expected '<num_edges> <num_vertices>'")
+        raise FormatError(
+            head_no, f"malformed header {_clip(repr(head))}; expected '<num_edges> <num_vertices>'"
+        )
     try:
         n_edges, n_vertices = int(parts[0]), int(parts[1])
     except ValueError:
-        raise FormatError(head_no, f"malformed header {head!r}; counts must be integers") from None
+        message = f"malformed header {_clip(repr(head))}; counts must be integers"
+        raise FormatError(head_no, _refused("header", head, message)) from None
     if n_edges < 0 or n_vertices < 0:
         raise FormatError(head_no, "header counts must be non-negative")
     if n_vertices > MAX_VERTICES:
         raise FormatError(
-            head_no, f"vertex count {n_vertices} exceeds the limit of {MAX_VERTICES}"
+            head_no, f"vertex count {_clip(str(n_vertices))} exceeds the limit of {MAX_VERTICES}"
         )
     ids = _VertexIds(n_vertices)
     lookup = ids.__getitem__
@@ -283,7 +326,7 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
         edges.append(fs)
         last_no = no
     if len(edges) != n_edges:
-        raise FormatError(last_no, f"expected {n_edges} edges, found {len(edges)}")
+        raise FormatError(last_no, f"expected {_clip(str(n_edges))} edges, found {len(edges)}")
     return Hypergraph._trusted(n_vertices, edges)
 
 
@@ -296,15 +339,19 @@ def _edge_line_error(
     if not toks:
         return FormatError(no, "empty edge line")
     if n_read == n_edges:
-        return FormatError(no, f"unexpected extra edge line; header declared {n_edges} edges")
+        return FormatError(
+            no, f"unexpected extra edge line; header declared {_clip(str(n_edges))} edges"
+        )
     seen: set[int] = set()
     for tok in toks:
         try:
             v = int(tok)
         except ValueError:
-            return FormatError(no, f"invalid vertex-id {tok!r}")
+            return FormatError(
+                no, _refused("vertex-id", tok, f"invalid vertex-id {_clip(repr(tok))}")
+            )
         if not 1 <= v <= n_vertices:
-            return FormatError(no, f"vertex-id {v} out of range [1, {n_vertices}]")
+            return FormatError(no, f"vertex-id {_clip(str(v))} out of range [1, {n_vertices}]")
         if v in seen:
             break
         seen.add(v)
@@ -328,13 +375,16 @@ def parse_colouring(text: str | bytes) -> Colouring:
         no, head = lines[0]
         parts = head.lstrip("#").split()
         if len(parts) != 2 or parts[0] != "palette":
-            raise FormatError(no, f"malformed colouring header {head!r}; expected '# palette <C>'")
+            raise FormatError(
+                no, f"malformed colouring header {_clip(repr(head))}; expected '# palette <C>'"
+            )
         try:
             palette = int(parts[1])
         except ValueError:
-            raise FormatError(no, f"palette size {parts[1]!r} is not an integer") from None
+            message = f"palette size {_clip(repr(parts[1]))} is not an integer"
+            raise FormatError(no, _refused("palette size", parts[1], message)) from None
         if palette < 0:
-            raise FormatError(no, f"palette size {palette} must be non-negative")
+            raise FormatError(no, f"palette size {_clip(str(palette))} must be non-negative")
         start = 1
     colours = []
     for no, line in lines[start:]:
@@ -343,12 +393,15 @@ def parse_colouring(text: str | bytes) -> Colouring:
         try:
             c = int(line)
         except ValueError:
-            raise FormatError(no, f"invalid colour {line!r}") from None
+            message = f"invalid colour {_clip(repr(line))}"
+            raise FormatError(no, _refused("colour", line, message)) from None
         if c < 1:
-            raise FormatError(no, f"colour {c} must be at least 1")
+            raise FormatError(no, f"colour {_clip(str(c))} must be at least 1")
         if palette is not None and c > palette:
             raise FormatError(
-                no, f"colour {c} of edge {len(colours) + 1} outside palette [1, {palette}]"
+                no,
+                f"colour {_clip(str(c))} of edge {len(colours) + 1} "
+                f"outside palette [1, {_clip(str(palette))}]",
             )
         colours.append(c)
     if palette is None:
@@ -368,6 +421,8 @@ def parse_weights(text: str | bytes, expected: int | None = None) -> Weighting:
     Exponents are rejected: Fraction would expand 1e-1000000 into a
     million-digit integer. When expected is given, the entry count must
     match it exactly."""
+    from fractions import Fraction
+
     weights = []
     last = 0
     for no, line in _content_lines(text):
@@ -375,13 +430,17 @@ def parse_weights(text: str | bytes, expected: int | None = None) -> Weighting:
         if not line:
             raise FormatError(no, "empty line in weights file")
         if "e" in line or "E" in line:
-            raise FormatError(no, f"invalid weight {line!r}: exponents are not accepted")
+            raise FormatError(
+                no, f"invalid weight {_clip(repr(line))}: exponents are not accepted"
+            )
         try:
             w = Fraction(line)
         except (ValueError, ZeroDivisionError):
-            raise FormatError(no, f"invalid weight {line!r}") from None
+            message = f"invalid weight {_clip(repr(line))}"
+            raise FormatError(no, _refused("weight", line, message)) from None
         if not 0 <= w <= 1:
-            raise FormatError(no, f"weight {w} outside [0, 1]")
+            # the text as written: str(w) could be past the int-to-text limit
+            raise FormatError(no, f"weight {_clip(line)} outside [0, 1]")
         weights.append(w)
     if expected is not None and len(weights) != expected:
         raise FormatError(

@@ -54,16 +54,16 @@ edge-id order, and first-fit also runs in ascending edge order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice
 
+from ._record import frozen_record
 from .errors import InvariantBreach, PreconditionError
 from .hypercore import Colouring, Hypergraph
 
 __all__ = ["split_hypergraph", "colour_linear"]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class VertexSplit:
     """How one vertex splits: blocks[j] lists the edge ids handled by
     sub-vertex j. The first m blocks have k+1 edges, the remaining
@@ -74,7 +74,7 @@ class VertexSplit:
     blocks: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class LineGraph:
     """Nodes are hyperedge ids; two nodes are adjacent when their
     hyperedges share at least one vertex."""

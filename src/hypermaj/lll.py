@@ -51,14 +51,17 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from itertools import count, islice
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
+from ._record import frozen_record
 from .errors import InvariantBreach, PreconditionError
-from .genlab import verify
-from .hypercore import Colouring, Hypergraph
+
+# hypercore and genlab are imported inside the functions that use them,
+# so that the threshold search loads neither
+if TYPE_CHECKING:
+    from .hypercore import Colouring, Hypergraph
 
 __all__ = [
     "ResampleRun",
@@ -73,7 +76,7 @@ _WORK_DIGITS = 40
 _CUTOFF = Decimal(1 - 2.0**-30)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ResampleRun:
     """Result of one seeded resampling run.
 
@@ -152,6 +155,8 @@ def threshold_details(k: int, r: int) -> tuple[int, float, float]:
 def bad_vertices(h_graph: Hypergraph, colouring: Colouring, k: int) -> set[int]:
     """Vertices where some colour appears more than d(v)/k times: the
     vertices of the majority verifier's violations."""
+    from .genlab import verify
+
     if colouring.palette_size != k + 1:
         raise ValueError(
             f"palette size {colouring.palette_size} does not match k+1 = {k + 1}"
@@ -189,6 +194,8 @@ def resample_colour(
     Colours are drawn by the module's rule, which gives exactly
     random.Random(seed).randint(1, k + 1), one call per edge; the seed
     must be non-negative."""
+    from .hypercore import Colouring
+
     if k < 2:
         raise PreconditionError(f"k must be at least 2, got {k}")
     if seed < 0:

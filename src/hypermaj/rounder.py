@@ -61,10 +61,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Sequence
 
+from ._record import frozen_record
 from .errors import InvariantBreach
 from .hypercore import Hypergraph, Weighting
 
@@ -75,7 +75,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class TraceStep:
     """One kernel-walk iteration.
 
@@ -94,7 +94,7 @@ class TraceStep:
     fixed: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RoundingTrace:
     """Per-iteration audit of the kernel walk."""
 

@@ -24,8 +24,10 @@ from hypermaj.hypercore import (
     parse_colouring,
     parse_hypergraph,
     parse_weights,
+    serialize_colouring,
     serialize_hypergraph,
 )
+from hypermaj.linearhg import colour_linear
 
 TRIANGLE = "3 3\n1 2\n2 3\n1 3\n"
 
@@ -803,6 +805,114 @@ def test_cli_import_leaves_numpy_unloaded():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False False False False"
+
+
+def modules_after(code):
+    """The names in sys.modules after a fresh interpreter ran code, which
+    prints nothing to stdout on its own."""
+    src = os.path.dirname(os.path.dirname(hypermaj.__file__))
+    res = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print('\\n' + ' '.join(sys.modules))"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert res.returncode == 0, res.stderr
+    return set(res.stdout.splitlines()[-1].split())
+
+
+LIBRARY_MODULES = ("hypercore", "genlab", "rounder", "partition", "linearhg", "lll")
+
+
+@pytest.fixture(scope="module")
+def startup_modules():
+    # what the interpreter and its site hooks load before any of our code
+    return modules_after("")
+
+
+def subcommand_files(tmp_path):
+    h = generate(GenSpec("uniform", 18, 2, 16, 1))
+    (tmp_path / "in.hgr").write_text(serialize_hypergraph(h))
+    (tmp_path / "in.col").write_text(serialize_colouring(colour_linear(h, 2)))
+    (tmp_path / "in.w").write_text("1/2\n" * len(h.edges))
+    (tmp_path / "tri.hgr").write_text(TRIANGLE)
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (("threshold", "--k", "2", "--r", "3"),
+         ("hypercore", "genlab", "rounder", "partition", "linearhg", "fractions", "json")),
+        (("verify", "in.hgr", "in.col", "--k", "2"),
+         ("rounder", "partition", "linearhg", "lll", "fractions", "json")),
+        (("generate", "--model", "regular", "--n", "8", "--r", "2", "--min-degree", "2",
+          "-o", "gen.hgr"),
+         ("rounder", "partition", "linearhg", "lll", "fractions", "json")),
+        (("colour", "in.hgr", "--algorithm", "partition", "--k", "2", "-o", "p.col"),
+         ("linearhg", "lll", "json")),
+        (("colour", "in.hgr", "--algorithm", "linear", "--k", "2", "-o", "l.col"),
+         ("rounder", "partition", "lll", "fractions", "json")),
+        (("colour", "in.hgr", "--algorithm", "random-lll", "--k", "2", "-o", "r.col"),
+         ("rounder", "partition", "linearhg", "json")),
+        (("round", "in.hgr", "in.w", "-o", "x.w"),
+         ("genlab", "partition", "linearhg", "lll", "json")),
+        (("oracle", "tri.hgr", "--k", "2", "--palette", "3", "-o", "o.col"),
+         ("rounder", "partition", "linearhg", "lll", "fractions", "json")),
+        (("--format", "json-lines", "threshold", "--k", "2", "--r", "3"),
+         ("hypercore", "genlab", "rounder", "partition", "linearhg")),
+    ],
+    ids=["threshold", "verify", "generate", "partition", "linear", "random-lll", "round",
+         "oracle", "json-lines"],
+)
+def test_subcommand_loads_only_the_modules_it_runs(tmp_path, startup_modules, argv, unloaded):
+    # cold start: every call compiles the modules it imports, and the
+    # standard record decorator's module alone took 9 ms to import
+    subcommand_files(tmp_path)
+    argv = [str(tmp_path / a) if "." in a else a for a in argv]
+    code = f"import hypermaj.cli; assert hypermaj.cli.main({argv!r}) == 0"
+    loaded = modules_after(code) - startup_modules
+    assert "dataclasses" not in loaded
+    assert not {f"hypermaj.{m}" if m in LIBRARY_MODULES else m for m in unloaded} & loaded
+
+
+def test_bare_package_import_loads_no_submodule(startup_modules):
+    loaded = modules_after("import hypermaj") - startup_modules
+    assert {m for m in loaded if m.startswith("hypermaj.")} == set()
+    assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("in.w", "1" * 4400 + "/" + "3" * 4400 + "\n1/2\n",
+         f"line 1: weight '{'1' * 31}... has 4400 digits"),
+        # the parsed weight is above 1, and its text form past the limit
+        ("in.w", "1/2\n" + "1" * 4000 + "." + "1" * 4000 + "\n",
+         f"line 2: weight {'1' * 32}... outside [0, 1]"),
+        ("in.col", "# palette 3\n1\n" + "2" * 4400 + "\n",
+         f"line 3: colour '{'2' * 31}... has 4400 digits"),
+        ("in.hgr", "2 3\n1 2\n1 " + "3" * 4400 + "\n",
+         f"line 3: vertex-id '{'3' * 31}... has 4400 digits"),
+    ],
+    ids=["weight", "weight-above-1", "colour", "vertex-id"],
+)
+def test_refused_token_echo_is_bounded(tmp_path, name, text, message):
+    (tmp_path / "in.hgr").write_text("2 3\n1 2\n2 3\n")
+    (tmp_path / "in.col").write_text("1\n2\n")
+    (tmp_path / "in.w").write_text("1/2\n1/2\n")
+    (tmp_path / name).write_text(text)
+    argv = {
+        "in.w": ("round", "in.hgr", "in.w"),
+        "in.col": ("verify", "in.hgr", "in.col", "--k", "2"),
+        "in.hgr": ("verify", "in.hgr", "in.col", "--k", "2"),
+    }[name]
+    res = run_cli(*(str(tmp_path / a) if "." in a else a for a in argv))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert len(res.stderr.encode()) < 200
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+    assert res.stderr.startswith(f"error: {message}")
 
 
 def test_no_assert_statements_in_package():

@@ -341,6 +341,41 @@ def test_parse_weights_rejects_out_of_range():
         parse_weights("nope\n")
 
 
+LONG = "9" * 50
+CUT = "9" * 32 + "..."
+OVER = "7" * 4400  # past the default limit of 4300 digits on int(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, message",
+    [
+        (parse_hypergraph, f"1 3\n1 {LONG}\n", 2, f"vertex-id {CUT} out of range [1, 3]"),
+        (parse_hypergraph, f"1 3\n1 x{LONG}\n", 2, f"invalid vertex-id 'x{'9' * 30}..."),
+        (parse_hypergraph, f"1 3\n1 {OVER}\n", 2,
+         f"vertex-id '{OVER[:31]}... has 4400 digits, more than Python's limit of 4300 "
+         "on converting text to an int"),
+        (parse_hypergraph, f"{LONG} 3\n", 1, f"expected {CUT} edges, found 0"),
+        (parse_hypergraph, f"{OVER} 3\n", 1, f"header '{OVER[:31]}... has 4400 digits"),
+        (parse_colouring, f"# palette 2\n{LONG}\n", 2,
+         f"colour {CUT} of edge 1 outside palette [1, 2]"),
+        (parse_colouring, f"# palette {LONG}\n{OVER}\n", 2, f"colour '{OVER[:31]}... has 4400"),
+        (parse_colouring, f"# palette {OVER}\n", 1, f"palette size '{OVER[:31]}... has 4400"),
+        (parse_weights, f"x{LONG}\n", 1, f"invalid weight 'x{'9' * 30}..."),
+        (parse_weights, f"1/{OVER}\n", 1, f"weight '1/{OVER[:29]}... has 4400 digits"),
+        (parse_weights, f"{LONG}/3\n", 1, f"weight {CUT} outside [0, 1]"),
+    ],
+    ids=["id-range", "id-invalid", "id-limit", "header-count", "header-limit",
+         "colour-palette", "colour-limit", "palette-limit", "weight-invalid", "weight-limit",
+         "weight-range"],
+)
+def test_errors_quote_a_bounded_prefix_of_the_token(parse, text, line, message):
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert exc.value.line == line
+    assert exc.value.message.startswith(message)
+    assert len(exc.value.message) < 160
+
+
 def test_parse_weights_rejects_exponents():
     # Fraction("1e999999999") would build a billion-digit integer
     for entry in ("1e999999999", "1E-5", "2.5e-1"):
