@@ -4,13 +4,21 @@ A colouring is accepted when, at every vertex v, each colour is used by at
 most floor(d(v)/k) of the incident edges. The brute-force oracle enumerates
 colour vectors lexicographically and is the ground truth for small cases;
 generators are deterministic functions of their seed.
+
+The generators draw from random.Random(seed) by the resampler's rule
+(lll._draws): one getrandbits(b) per attempt, b the bit length of the
+bound, until the value is below the bound. _shuffle draws as
+random.shuffle and _samples as random.sample(range(n), k) do on CPython
+3.10-3.13, so every instance matches earlier releases while the stream is
+fixed by this module.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import NamedTuple, Optional
+from math import ceil, log
+from typing import Iterator, NamedTuple, Optional
 
 from . import GEN_MODELS
 from ._record import frozen_record
@@ -39,8 +47,9 @@ LINEAR_PASSES = 3
 # generator counterpart of MAX_VERTICES: GenSpec rejects n * min_degree
 # above it before anything is allocated, and the sampling models, which
 # overshoot n * min_degree, stop once their edges reach it. A 2-uniform
-# regular instance at the bound (n=4, min_degree=2**19) peaks at about
-# 410 MB in `hypermaj generate`.
+# regular instance at the bound peaks in `hypermaj generate` (CPython 3.11)
+# at about 380 MB with n=4, min_degree=2**19, and at about 795 MB with
+# n=2**21, min_degree=1.
 MAX_GEN_INCIDENCES = 2**21
 
 # gen_linear stores the r(r-1)/2 vertex pairs of each accepted edge, more
@@ -204,14 +213,13 @@ def gen_uniform(spec: GenSpec) -> Hypergraph:
     Duplicate edges can occur; callers needing simplicity should use the
     linear or graph models.
     """
-    rng = random.Random(spec.seed)
-    vertices = list(range(spec.n))
+    samples = _samples(random.Random(spec.seed), spec.n, spec.r)
     edges: list[list[int]] = []
     deg = [0] * spec.n
     below = spec.n if spec.min_degree > 0 else 0  # vertices under min_degree
     max_edges = MAX_GEN_INCIDENCES // spec.r
     while below:
-        e = rng.sample(vertices, spec.r)
+        e = next(samples)
         edges.append(e)
         if len(edges) > max_edges:
             raise _over_incidence_limit(spec, len(edges))
@@ -231,13 +239,13 @@ def gen_linear(spec: GenSpec) -> Hypergraph:
     A pass whose LINEAR_RETRY_BUDGET consecutive samples are all rejected
     is a dead end: the greedy choice can strand a vertex below min_degree
     on a feasible combination, so the next pass starts again from no
-    edges, drawing on from the same generator. Aborts with GenerationError
+    edges, drawing on from the same samples. Aborts with GenerationError
     once LINEAR_PASSES passes dead-end, which signals an infeasible
     n/r/min_degree combination.
     """
-    rng = random.Random(spec.seed)
+    samples = _samples(random.Random(spec.seed), spec.n, spec.r)
     for _ in range(LINEAR_PASSES):
-        edges = _linear_pass(spec, rng)
+        edges = _linear_pass(spec, samples)
         if edges is not None:
             return Hypergraph(spec.n, edges)
     raise GenerationError(
@@ -247,9 +255,8 @@ def gen_linear(spec: GenSpec) -> Hypergraph:
     )
 
 
-def _linear_pass(spec: GenSpec, rng: random.Random) -> Optional[list[list[int]]]:
+def _linear_pass(spec: GenSpec, samples: Iterator[list[int]]) -> Optional[list[list[int]]]:
     """One greedy pass of gen_linear from no edges; None at a dead end."""
-    vertices = list(range(spec.n))
     edges: list[list[int]] = []
     used_pairs: set[tuple[int, int]] = set()
     deg = [0] * spec.n
@@ -265,7 +272,7 @@ def _linear_pass(spec: GenSpec, rng: random.Random) -> Optional[list[list[int]]]
                 f"exceed the pair limit of {MAX_GEN_PAIRS} before every vertex "
                 f"reached min_degree={spec.min_degree}"
             )
-        e = rng.sample(vertices, spec.r)
+        e = next(samples)
         members = sorted(e)
         # any() stops at the first used pair, so a rejection is cheap
         if any(p in used_pairs for p in itertools.combinations(members, 2)):
@@ -300,11 +307,61 @@ def gen_regular(spec: GenSpec) -> Hypergraph:
     one to every degree; GenSpec has checked that r divides n. Duplicate
     edges can occur.
     """
+    return Hypergraph(spec.n, _regular_edges(spec))
+
+
+def _regular_edges(spec: GenSpec) -> Iterator[tuple[int, ...]]:
+    # yielded as they are cut, so the edges never exist all at once as lists
     rng = random.Random(spec.seed)
-    edges = []
+    ids = list(range(spec.n))  # one object per id, shared by every round
     for _ in range(spec.min_degree):
-        perm = list(range(spec.n))
-        rng.shuffle(perm)
-        for i in range(0, spec.n, spec.r):
-            edges.append(perm[i : i + spec.r])
-    return Hypergraph(spec.n, edges)
+        perm = ids[:]
+        _shuffle(rng, perm)
+        yield from zip(*[iter(perm)] * spec.r)  # perm's r-blocks, in order
+
+
+def _shuffle(rng: random.Random, x: list) -> None:
+    """rng.shuffle(x), Durstenfeld's shuffle: for i from len(x) - 1 down to
+    1, draw j below i + 1 and swap positions i and j."""
+    n = len(x)
+    getrandbits = rng.getrandbits
+    for bits in range(n.bit_length(), 1, -1):
+        # the i with (i + 1).bit_length() == bits, falling
+        for i in range(min(n, (1 << bits) - 1) - 1, (1 << (bits - 1)) - 2, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            x[i], x[j] = x[j], x[i]
+
+
+def _samples(rng: random.Random, n: int, k: int) -> Iterator[list[int]]:
+    """rng.sample(range(n), k) again and again, without end: its pool
+    branch while n is at most its set size, else its set branch. Each
+    sample is a list of exactly k ids taken from one list, so a kept edge
+    holds no spare slots and each id is one object, not one per incidence."""
+    getrandbits = rng.getrandbits
+    setsize = 21  # sample's own rule for when a pool list beats a set
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    ids = list(range(n))
+    if n <= setsize:
+        bounds = [(i, n - i, (n - i).bit_length()) for i in range(k)]
+        while True:
+            pool, e = ids[:], [0] * k  # the unchosen ids are pool[:b]
+            for i, b, bits in bounds:
+                j = getrandbits(bits)
+                while j >= b:
+                    j = getrandbits(bits)
+                e[i] = pool[j]
+                pool[j] = pool[b - 1]
+            yield e
+    bits = n.bit_length()
+    while True:
+        e, chosen = [0] * k, set()
+        for i in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in chosen:
+                j = getrandbits(bits)
+            chosen.add(j)
+            e[i] = ids[j]
+        yield e

@@ -360,9 +360,17 @@ def _edge_line_error(
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:
+    # Each 1-based label is formatted once, up to the largest id in use:
+    # the last vertex when it has an edge, as in every generated instance
+    # with edges, else the largest member of any edge.
+    degrees = h.degrees()
+    if degrees and degrees[-1]:
+        top = len(degrees)
+    else:
+        top = max(itertools.chain.from_iterable(h.edges), default=-1) + 1
+    labels = list(map(str, range(1, top + 1)))
     lines = [f"{len(h.edges)} {h.n_vertices}"]
-    for fs in h.edges:
-        lines.append(" ".join(str(v + 1) for v in sorted(fs)))
+    lines += [" ".join([labels[v] for v in sorted(fs)]) for fs in h.edges]
     return "\n".join(lines) + "\n"
 
 

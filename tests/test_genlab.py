@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from conftest import reference_linearity_witness
 
 from hypermaj import genlab
@@ -230,8 +232,13 @@ def test_sampling_models_stop_at_incidence_limit(model, monkeypatch):
     assert len(h.edges) * 2 <= 64
 
 
-# sha256 of serialize_hypergraph(generate(spec)), recorded with the
-# generators that rescanned min(deg) after every sample
+# sha256 of serialize_hypergraph(generate(spec)). The first eight were
+# recorded with the generators that rescanned min(deg) after every sample,
+# the rest while the generators called random.sample and random.shuffle,
+# for the draws the first eight miss: sample's pool branch (n <= 21, or
+# n <= 21 + 4**ceil(log4 3r) for r > 5), its set branch at r > 5, a linear
+# instance found by its second pass, and a shuffle whose bounds span ten
+# bit lengths.
 GENERATED_SHA256 = {
     ("uniform", 30, 3, 6, 1): "a008bd9b3567b44ec502b3323d19ab4a277db49f973b9c6c5afc2c8067c576bd",
     ("uniform", 30, 3, 6, 2): "36d3aa7de6eb520ac4e616ce228159625bea7bbe38dec015906327ad44891cd4",
@@ -241,6 +248,14 @@ GENERATED_SHA256 = {
     ("graph", 30, 2, 5, 2): "932970b0fbfdcba741ecd0aa9d71d4a0704cf127a08bb9a5f132669dd3d3b52c",
     ("regular", 30, 3, 6, 1): "1f008205bd03fb3b3aa4560b5519fc9935c3df1e422907596bdc3b03cfaff1d7",
     ("regular", 30, 3, 6, 2): "c1c28302ed82da2ff944cee544424dc054cde35ad757d8d539674247d12abb7c",
+    ("uniform", 12, 3, 6, 1): "c300d3e7b0f807163c4deb9b1fb8adfa8b33f00d90439883f5be8de114fcd602",
+    ("uniform", 12, 3, 6, 2): "65be0845587ec99ac0f9a0f472935e4671b45a0aee69742b422a64ffa9b32b3d",
+    ("uniform", 40, 6, 4, 1): "638a8d54c3376ceaa8599dd9201868c7c1cd7f683ace72bf602f39bf19847971",
+    ("uniform", 100, 6, 3, 1): "a75a352b57a799d5b8291eabd303bf96bbcaeb497aa0dca9fe37d33a4bac4143",
+    ("linear", 80, 6, 2, 1): "f30815945f3e0a25040c494f0133d93169de4f6d92943532231ea844eda7fc3d",
+    ("linear", 120, 6, 2, 1): "563d9c6bf2e6cad98c6b861eb5a69fcabe94e8956067f9cfce7535c823898fbd",
+    ("linear", 14, 4, 2, 143): "e9b105b44f6141dcd6a97de6a364ffebcdd106657c10ca9d6ec3fe5fe9f56325",
+    ("regular", 1000, 4, 3, 1): "c098eb1b425de43589a6297acfb9fdb42f5103894c460380ae96a59668eb855c",
 }
 
 
@@ -248,6 +263,36 @@ GENERATED_SHA256 = {
 def test_generated_instances_match_pinned_digests(spec):
     text = serialize_hypergraph(generate(GenSpec(*spec)))
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_SHA256[spec]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    nk=st.integers(1, 300).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n) | st.integers(1, min(n, 24)))
+    ),
+)
+@example(seed=1, nk=(21, 5))  # pool at the last n it takes for k <= 5
+@example(seed=1, nk=(22, 5))  # set
+@example(seed=2, nk=(85, 6))  # pool at the last n it takes for k = 6
+@example(seed=2, nk=(86, 6))  # set, k > 5
+@example(seed=3, nk=(300, 22))  # set: 21 + 4**4 = 277 < 300
+@example(seed=3, nk=(277, 22))  # pool
+@example(seed=4, nk=(1, 1))
+def test_draws_match_cpython_random(seed, nk):
+    # the generators' own draws equal random's, call for call: the same
+    # values and the same generator state after each draw
+    n, k = nk
+    rng, ref = random.Random(seed), random.Random(seed)
+    perm, expected = list(range(n)), list(range(n))
+    genlab._shuffle(rng, perm)
+    ref.shuffle(expected)
+    assert perm == expected
+    assert rng.getstate() == ref.getstate()
+    samples = genlab._samples(rng, n, k)
+    for _ in range(3):
+        assert next(samples) == ref.sample(range(n), k)
+        assert rng.getstate() == ref.getstate()
 
 
 def test_generators_reproducible():
@@ -304,10 +349,17 @@ def test_gen_linear_infeasible_budget():
 
 def test_gen_linear_passes_again_after_a_dead_end():
     # seed 143's first greedy pass strands a vertex at degree 1 on a
-    # feasible combination; a later pass reaches min_degree everywhere
+    # feasible combination; the second pass draws on from the same samples
+    # and reaches min_degree everywhere
     spec = GenSpec(model="linear", n=14, r=4, min_degree=2, seed=143)
-    assert genlab._linear_pass(spec, random.Random(spec.seed)) is None
+    samples = genlab._samples(random.Random(spec.seed), spec.n, spec.r)
+    assert genlab._linear_pass(spec, samples) is None
+    second = genlab._linear_pass(spec, samples)
     h = generate(spec)
+    assert h == Hypergraph(spec.n, second)
+    # a pass from the seed's first sample would dead-end again
+    fresh = genlab._samples(random.Random(spec.seed), spec.n, spec.r)
+    assert genlab._linear_pass(spec, fresh) is None
     assert reference_linearity_witness(h) is None
     assert h.min_degree() >= 2
 

@@ -3,7 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypermaj import hypercore
@@ -384,22 +384,39 @@ def test_parse_weights_rejects_exponents():
         assert exc.value.line == 2
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=8).flatmap(
+    (st.integers(0, 8) | st.integers(0, 300)).flatmap(
         lambda n: st.tuples(
             st.just(n),
             st.lists(
-                st.sets(st.integers(0, n - 1), min_size=1).map(sorted), max_size=12
+                st.sets(st.integers(0, max(n - 1, 0)), min_size=1).map(sorted),
+                max_size=12 if n else 0,
             ),
         )
     )
 )
+# the serializer's labels end at the largest id in use, the last vertex
+# or an earlier one
+@example((300, [[0, 299], [7]]))
+@example((300, [[0, 298], [7]]))
 def test_hypergraph_round_trip_property(case):
     n, edges = case
     h = Hypergraph(n, edges)
-    back = parse_hypergraph(serialize_hypergraph(h))
-    assert (back.n_vertices, back.edges) == (h.n_vertices, h.edges)
+    assert parse_hypergraph(serialize_hypergraph(h)) == h
+
+
+def test_serialize_formats_only_the_ids_in_use():
+    # one label per vertex up to n would take about 11 MB here
+    h = Hypergraph(200_000, [[0, 1]])
+    tracemalloc.start()
+    try:
+        text = serialize_hypergraph(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "1 200000\n1 2\n"
+    assert peak < 2**16
 
 
 @settings(max_examples=200, deadline=None)
