@@ -308,6 +308,8 @@ def _cmd_round(args, rep: Reporter) -> int:
                 ) from None
         _atomic_write(args.trace_file, "".join(line + "\n" for line in lines))
     stream = _deliver(_lib.serialize_weights(x), args.output)
+    # valid: round_weights checked the rank band at every vertex, and a
+    # breach never gets here (exit 3)
     _summary(rep, stream, "round", None, None, True, t0)
     return 0
 

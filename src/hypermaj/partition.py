@@ -26,8 +26,12 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InvariantBreach, PreconditionError
-from .hypercore import Colouring, Hypergraph, Weighting
-from .rounder import round_weights
+from .hypercore import Colouring, Hypergraph
+from .rounder import _walk
+
+# not called here: the rounds run the rounder's integer core, but the
+# benchmark's tracer (bench/spans.py) still looks this name up
+from .rounder import round_weights  # noqa: F401
 
 __all__ = [
     "alpha_schedule",
@@ -133,11 +137,13 @@ def partition_rounds(
     alphas = alpha_schedule(delta, k, r)
     colours = [k + 1] * m
     remaining: set[int] = set(range(m))
-    zero = Fraction(0)
     for i, a in enumerate(alphas, start=1):
-        z = Weighting([a if e in remaining else zero for e in range(m)])
-        x, _ = round_weights(h_graph, z)
-        class_i = [e for e in remaining if x[e] == 1]
+        # alpha on the remaining edges and 0 elsewhere, as integer pairs
+        p, q = a.numerator, a.denominator
+        num = [p if e in remaining else 0 for e in range(m)]
+        den = [q if e in remaining else 1 for e in range(m)]
+        bits, _ = _walk(h_graph, num, den)
+        class_i = [e for e in remaining if bits[e]]
         remaining.difference_update(class_i)
         for e in class_i:
             colours[e] = i

@@ -19,9 +19,20 @@ incidence system:
      set has at most r fractional edges, each moving by strictly less
      than 1, which gives the strict discrepancy bound.
 
-Any kernel vector will do, and one is found on a small window of columns.
-A kernel vector supported on a set W of fractional edges only has to
-vanish on the rows R that W touches, and it exists once |W| > |R|. The
+Any kernel vector will do. Two fractional edges are twins when they have
+the same non-empty set of constrained members; then e_a - e_b vanishes on
+every constrained row, and that step costs O(1). So before each iteration,
+if any twins exist, the walk steps along e_a - e_b, with a the lowest
+fractional edge id that has a twin and b the lowest of a's twins. A twin
+index finds the pair: a map from each set of constrained members to its
+edges, in ascending order, with a min-heap of the heads of the groups of two
+or more. It changes only when an edge is fixed or a vertex leaves the
+constrained set, and heap entries that no longer head such a group are
+dropped when they come up.
+
+Otherwise the kernel vector is found on a small window of columns. A kernel
+vector supported on a set W of fractional edges only has to vanish on the
+rows R that W touches, and it exists once |W| > |R|. The
 window is such a W: each of its edges has a constrained member, and R is
 the set of constrained vertices it touches. It is kept from one iteration
 to the next. After each step the fixed edges leave it, and so does any
@@ -30,7 +41,8 @@ the candidate edge (fractional, outside W, with a constrained member) that
 brings the fewest constrained vertices not yet in R, ties to the lowest
 edge id. A candidate always exists: every constrained vertex has at least
 r+1 fractional edges, each edge covers at most r rows, so once every
-candidate is in W, |W| > |R|.
+candidate is in W, |W| > |R|. No two window edges are twins when it is
+solved, so its kernel vectors move at least three edges.
 
 Growth costs no rescan. Each candidate's count of constrained members
 outside R sits in a bucket, a min-heap of edge ids per count 0..r. A count
@@ -38,6 +50,12 @@ changes only when a row joins or leaves R, or when a vertex leaves the
 constrained set, and then only at that vertex's fractional edges, so each
 such change costs O(fractional degree). Heap entries whose count has moved
 on are dropped when they come up.
+
+There is one step path. A twin step hands _step the pair and the direction
+(1, -1); a window step hands it the support of its kernel vector, the
+window edges where it is nonzero. Both then share the weight update and the
+code that retires the fixed edges from the window, the candidates, the twin
+index and the constrained set.
 
 All arithmetic is exact, and the walk's is integer. The kernel comes from
 a sparse fraction-free elimination of the window's integer incidence rows
@@ -47,18 +65,23 @@ integer back-substitution. The walk keeps each weight only as a reduced
 numerator/denominator pair, so an edge is fractional exactly while its
 denominator exceeds 1, and steps along the integer kernel vector w by a
 step length t that is also a pair; the leftovers are rounded in those
-pairs. Fractions appear only in the input Weighting, in TraceStep.step
-and in the returned Weighting.
+pairs. The walk is the integer core _walk: num/den lists in, the 0/1
+numerators and one plain tuple per iteration out. The partition colourer
+calls it directly; round_weights wraps it, building Fractions only from the
+input Weighting, for TraceStep.step and for the returned Weighting, and
+checks the bound of step 4 at every vertex of the result.
 
-The kernel vector w is unique up to scale: it ends at the first column j
-of the window that depends on the columns before it. TraceStep.step is
-t*|w[j]|, the step length along d = w/|w[j]|: the kernel vector with its
-first free variable set to 1 and later ones to 0, then negated if needed
-so that its first nonzero entry is positive.
+The window's kernel vector w is unique up to scale: it ends at the first
+column j of the window that depends on the columns before it.
+TraceStep.step is t*|w[j]|, the step length along d = w/|w[j]|: the kernel
+vector with its first free variable set to 1 and later ones to 0, then
+negated if needed so that its first nonzero entry is positive. For a twin
+step d = e_a - e_b, and TraceStep.step is t.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from fractions import Fraction
@@ -282,33 +305,52 @@ def _pop_candidate(buckets: list[list[int]], candidate: list[bool], n_out: list[
     return -1
 
 
-def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, RoundingTrace]:
-    """Round z to a 0/1 weighting x with, at every vertex v,
-    sum_z(v) - r < sum_x(v) < sum_z(v) + r (strict, exact rationals).
+def _file(groups: dict[frozenset, list[int]], twins: list[int], key: frozenset, e: int) -> None:
+    """File edge e under key in the twin index: groups[key] lists its edges
+    ascending, and the head of a group of two or more goes on the heap twins."""
+    g = groups.get(key)
+    if g is None:
+        groups[key] = [e]
+    else:
+        bisect.insort(g, e)
+        heapq.heappush(twins, g[0])
 
-    Entries of z already in {0, 1} are returned unchanged. Each iteration
-    solves on the kept window of the module docstring. The trace records,
-    per kernel-walk iteration, the constrained-set size, the fractional
-    edge count, the step length along the kernel vector whose first free
-    variable is 1, and the edges fixed (see TraceStep).
+
+def _unfile(groups: dict[frozenset, list[int]], twins: list[int], key: frozenset, e: int) -> None:
+    """Take edge e out of groups[key]; a new head of a group of two or more
+    goes on the heap twins."""
+    g = groups[key]
+    i = g.index(e)
+    del g[i]
+    if not g:
+        del groups[key]
+    elif not i and len(g) > 1:
+        heapq.heappush(twins, g[0])
+
+
+def _walk(
+    h_graph: Hypergraph, num: list[int], den: list[int]
+) -> tuple[list[int], list[tuple[int, int, int, int, tuple[int, ...]]]]:
+    """The kernel walk of the module docstring on integer pairs.
+
+    Edge e's weight is the reduced pair num[e]/den[e], den[e] > 0, and both
+    lists are consumed. Returns num, which then holds the 0/1 rounding, and
+    one (n_constrained, n_frac, step_num, step_den, fixed) tuple per
+    iteration: the fields of TraceStep, with its step as a pair that need
+    not be reduced.
     """
-    m = len(h_graph.edges)
-    if len(z) != m:
-        raise ValueError(f"weighting has {len(z)} entries for {m} edges")
+    m = len(num)
     r = h_graph.rank()
     edges = h_graph.edges
-    incidence = h_graph.incidence()
     gcd = math.gcd
     push = heapq.heappush
-    # edge e's weight is the reduced pair num[e] / den[e]; e is fractional
-    # exactly while den[e] > 1
-    num = [w.numerator for w in z]
-    den = [w.denominator for w in z]
+    heappop = heapq.heappop
+    # edge e is fractional exactly while den[e] > 1
     frac = [e for e in range(m) if den[e] > 1]  # ascending
     # each constrained vertex (fractional degree above r) maps to the set of
     # its fractional edges; it leaves when that set shrinks to r
     constrained: dict[int, set[int]] = {}
-    for v, inc in enumerate(incidence):
+    for v, inc in enumerate(h_graph.incidence()):
         mine = {e for e in inc if den[e] > 1}
         if len(mine) > r:
             constrained[v] = mine
@@ -320,13 +362,21 @@ def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, Roundin
     candidate = [False] * m
     n_out = [0] * m
     buckets: list[list[int]] = [[] for _ in range(r + 1)]
-    live = constrained.keys()  # a view: it follows the deletions below
+    # the twin index: key[e] is the set of e's constrained members while e
+    # is fractional and has one, else None; groups and twins as in _file
+    key: list[frozenset | None] = [None] * m
+    groups: dict[frozenset, list[int]] = {}
+    twins: list[int] = []
+    live = constrained.keys()
     for e in frac:
-        c = len(live & edges[e])
+        mem = live & edges[e]
+        c = len(mem)
         if c:
             candidate[e] = True
             n_out[e] = c
             buckets[c].append(e)  # ascending, so already a heap
+            key[e] = edges[e] if c == len(edges[e]) else frozenset(mem)
+            _file(groups, twins, key[e], e)
     window: set[int] = set()
     # window edges at each constrained vertex; the rows are the vertices
     # where it is positive
@@ -334,78 +384,115 @@ def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, Roundin
     n_rows = 0
     n_frac = len(frac)
 
-    steps: list[TraceStep] = []
+    steps = []
     while constrained:
-        while len(window) <= n_rows:
-            e = _pop_candidate(buckets, candidate, n_out)
-            if e < 0:
-                raise InvariantBreach(
-                    "window growth ran out of candidate edges",
-                    rows=n_rows,
-                    cols=len(window),
-                )
-            candidate[e] = False
-            window.add(e)
-            for v in edges[e]:
-                if v in constrained:
-                    in_rows[v] += 1
-                    if in_rows[v] == 1:
-                        n_rows += 1
-                        for f in constrained[v]:
-                            if candidate[f]:
-                                n_out[f] -= 1
-                                push(buckets[n_out[f]], f)
-        # the window has more columns than its rows, so it holds a
-        # dependent column, and a kernel vector on the window vanishes on
-        # every constrained row outside it
-        cols = sorted(window)
-        rows: dict[int, dict[int, int]] = {}
-        holders: list[set] = []
-        for c, e in enumerate(cols):
-            hold = live & edges[e]
-            holders.append(hold)
-            for v in hold:
-                if v in rows:
-                    rows[v][c] = 1
-                else:
-                    rows[v] = {c: 1}
-        w, j = _first_dependent(rows, holders)
-        tn, tq = _step([num[e] for e in cols], [den[e] for e in cols], w)
+        # the lowest edge with a twin heads its group; heap entries that no
+        # longer head a group of two or more are dropped
+        while twins:
+            a = twins[0]
+            g = groups.get(key[a])
+            if g is not None and g[0] == a and len(g) > 1:
+                break
+            heappop(twins)
+        if twins:
+            # e_a - e_b vanishes on every constrained row
+            support, dirs, scale = g[:2], (1, -1), 1
+        else:
+            while len(window) <= n_rows:
+                e = _pop_candidate(buckets, candidate, n_out)
+                if e < 0:
+                    raise InvariantBreach(
+                        "window growth ran out of candidate edges",
+                        rows=n_rows,
+                        cols=len(window),
+                    )
+                candidate[e] = False
+                window.add(e)
+                for v in edges[e]:
+                    if v in constrained:
+                        in_rows[v] += 1
+                        if in_rows[v] == 1:
+                            n_rows += 1
+                            for f in constrained[v]:
+                                if candidate[f]:
+                                    n_out[f] -= 1
+                                    push(buckets[n_out[f]], f)
+            # the window has more columns than its rows, so it holds a
+            # dependent column, and a kernel vector on the window vanishes
+            # on every constrained row outside it
+            cols = sorted(window)
+            rows: dict[int, dict[int, int]] = {}
+            holders: list[set] = []
+            for c, e in enumerate(cols):
+                hold = set(key[e])
+                holders.append(hold)
+                for v in hold:
+                    if v in rows:
+                        rows[v][c] = 1
+                    else:
+                        rows[v] = {c: 1}
+            w, j = _first_dependent(rows, holders)
+            support = [e for e, we in zip(cols, w) if we]
+            dirs = [we for we in w if we]
+            # the trace's step is along d = w / |w[j]|, whose first free
+            # variable is +-1, so it is t * |w[j]|
+            scale = abs(w[j])
+        tn, tq = _step([num[e] for e in support], [den[e] for e in support], dirs)
         g = gcd(tn, tq)
         tn, tq = tn // g, tq // g
         # h + t*w over one common denominator, reduced; the edges at the
         # bound t land exactly on 0 or 1, and they are the ones fixed
         fixed_now = []
-        for e, we in zip(cols, w):
-            if we:
-                hq = den[e]
-                a, b = num[e] * tq + tn * we * hq, hq * tq
-                g = gcd(a, b)
-                num[e], den[e] = a // g, b // g
-                if den[e] == 1:
-                    fixed_now.append(e)
+        for e, we in zip(support, dirs):
+            hq = den[e]
+            a, b = num[e] * tq + tn * we * hq, hq * tq
+            g = gcd(a, b)
+            num[e], den[e] = a // g, b // g
+            if den[e] == 1:
+                fixed_now.append(e)
         if not fixed_now:
-            raise InvariantBreach("kernel step fixed no edge", cols=len(cols))
+            raise InvariantBreach("kernel step fixed no edge", cols=len(support))
         s = len(constrained)
         for e in fixed_now:
-            window.discard(e)
+            _unfile(groups, twins, key[e], e)
+            key[e] = None
+        for e in fixed_now:
+            in_window = e in window
+            if in_window:
+                window.remove(e)
+            else:
+                candidate[e] = False
             for v in edges[e]:
                 mine = constrained.get(v)
                 if mine is None:
                     continue
-                # v is a row, since e was a window edge
                 mine.discard(e)
                 if len(mine) == r:
-                    # v leaves the constrained set and the rows; an edge
+                    # v leaves the constrained set, and the rows if it is
+                    # one; each edge at v loses v from its key, and one
                     # left with no constrained member leaves the window or
                     # the candidates for good
                     del constrained[v]
-                    n_rows -= 1
+                    is_row = in_rows[v] > 0
+                    if is_row:
+                        n_rows -= 1
                     for f in mine:
-                        if live.isdisjoint(edges[f]):
+                        old = key[f]
+                        if old is None:
+                            continue  # fixed by this step
+                        _unfile(groups, twins, old, f)
+                        k = old.difference((v,))
+                        if k:
+                            key[f] = k
+                            _file(groups, twins, k, f)
+                            if not is_row and candidate[f]:
+                                n_out[f] -= 1
+                                push(buckets[n_out[f]], f)
+                        else:
+                            key[f] = None
                             window.discard(f)
                             candidate[f] = False
-                else:
+                elif in_window:
                     in_rows[v] -= 1
                     if not in_rows[v]:
                         n_rows -= 1
@@ -413,12 +500,54 @@ def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, Roundin
                             if candidate[f]:
                                 n_out[f] += 1
                                 push(buckets[n_out[f]], f)
-        # the trace's step is along d = w / |w[j]|, whose first free
-        # variable is +-1, so it is t * |w[j]|
-        step = Fraction(tn * abs(w[j]), tq)
-        steps.append(TraceStep(s, n_frac, step, tuple(fixed_now)))
+        steps.append((s, n_frac, tn * scale, tq, tuple(fixed_now)))
         n_frac -= len(fixed_now)
 
     _finalize_low_degree(h_graph, [e for e in frac if den[e] > 1], num, den)
-    bits = (Fraction(0), Fraction(1))
-    return Weighting([bits[n] for n in num]), RoundingTrace(tuple(steps))
+    return num, steps
+
+
+def _check_band(h_graph: Hypergraph, ws: Sequence[Fraction], bits: Sequence[int]) -> None:
+    """Raise InvariantBreach unless |sum_x(v) - sum_z(v)| < r at every
+    vertex v, for z the weights ws and x the 0/1 list bits; each vertex's
+    sums are compared in integers over the lcm of its weights'
+    denominators."""
+    r = h_graph.rank()
+    for v, inc in enumerate(h_graph.incidence()):
+        if not inc:
+            continue
+        q = math.lcm(*[ws[e].denominator for e in inc])
+        gap = q * sum([bits[e] for e in inc]) - sum(
+            [ws[e].numerator * (q // ws[e].denominator) for e in inc]
+        )
+        if not -r * q < gap < r * q:
+            raise InvariantBreach(
+                "rounded sum left the rank band",
+                vertex=v,
+                gap=Fraction(gap, q),
+                rank=r,
+            )
+
+
+def round_weights(h_graph: Hypergraph, z: Weighting) -> tuple[Weighting, RoundingTrace]:
+    """Round z to a 0/1 weighting x with, at every vertex v,
+    sum_z(v) - r < sum_x(v) < sum_z(v) + r (strict, exact rationals).
+
+    Entries of z already in {0, 1} are returned unchanged. The walk is the
+    integer core _walk; its output is checked against the bound above at
+    every vertex, and a breach raises InvariantBreach. The trace records,
+    per kernel-walk iteration, the constrained-set size, the fractional
+    edge count, the step length along the kernel vector whose first free
+    variable is 1, and the edges fixed (see TraceStep).
+    """
+    m = len(h_graph.edges)
+    if len(z) != m:
+        raise ValueError(f"weighting has {len(z)} entries for {m} edges")
+    ws = list(z)
+    bits, steps = _walk(h_graph, [w.numerator for w in ws], [w.denominator for w in ws])
+    _check_band(h_graph, ws, bits)
+    one = (Fraction(0), Fraction(1))
+    trace = RoundingTrace(
+        tuple([TraceStep(s, nf, Fraction(sn, sq), fixed) for s, nf, sn, sq, fixed in steps])
+    )
+    return Weighting([one[b] for b in bits]), trace

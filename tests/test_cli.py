@@ -160,26 +160,47 @@ def test_colour_linear_internal_breach_exit_3(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+# K4 as an HGR file; no two of its edges share their constrained members,
+# so the rounder's walk on it starts with a window step
+K4_HGR = "6 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+
+
+def round_exit(tmp_path, capsys, weight):
+    """Run round on K4 with every weight set to weight; return the exit code
+    after checking that a failure leaves no output file and no traceback."""
+    hgr = tmp_path / "in.hgr"
+    win = tmp_path / "w.txt"
+    out = tmp_path / "x.txt"
+    hgr.write_text(K4_HGR)
+    win.write_text(f"{weight}\n" * 6)
+    out.unlink(missing_ok=True)
+    code = cli.main(["round", str(hgr), str(win), "-o", str(out)])
+    if code:
+        err = capsys.readouterr().err
+        assert "internal error" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+    return code
+
+
 def test_round_internal_breach_exit_3(tmp_path, monkeypatch, capsys):
     # a kernel solver that returns the zero vector is a fault in the walk:
     # round_weights reports it as a breach, and the CLI as exit 3
     monkeypatch.setattr(
         rounder, "_first_dependent", lambda rows, holders: ([0] * len(holders), 0)
     )
-    h = Hypergraph(4, [(0, 1), (0, 2), (0, 3)])
+    h = Hypergraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     with pytest.raises(InvariantBreach):
-        rounder.round_weights(h, Weighting([Fraction(2, 3)] * 3))
-    hgr = tmp_path / "in.hgr"
-    win = tmp_path / "w.txt"
-    out = tmp_path / "x.txt"
-    hgr.write_text("3 4\n1 2\n1 3\n1 4\n")
-    win.write_text("2/3\n2/3\n2/3\n")
-    code = cli.main(["round", str(hgr), str(win), "-o", str(out)])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "internal error" in err
-    assert "Traceback" not in err
-    assert not out.exists()
+        rounder.round_weights(h, Weighting([Fraction(2, 3)] * 6))
+    assert round_exit(tmp_path, capsys, "2/3") == 3
+
+
+def test_round_checks_the_band_exit_3(tmp_path, monkeypatch, capsys):
+    # round's valid=true is checked: a core that rounds every edge of K4 up
+    # from 1/3 puts each vertex 2 above its sum of 1, a gap of the rank
+    assert round_exit(tmp_path, capsys, "1/3") == 0
+    monkeypatch.setattr(rounder, "_walk", lambda h_graph, num, den: ([1] * len(num), []))
+    assert round_exit(tmp_path, capsys, "1/3") == 3
 
 
 def test_generate_rejects_empty_sizes_exit_2(tmp_path):

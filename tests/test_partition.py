@@ -117,9 +117,10 @@ def test_partition_covers_every_edge_once():
 
 
 # sha256 over the serialized colourings of these four instances (m = 451-847),
-# recorded with the kept-window kernel walk; partition_rounds over
-# reference_round_weights in tests/test_rounder.py gives the same colourings
-GOLDEN_PARTITION_SHA256 = "e31685f2e5856314e987deffb713dfbd1f8ba69f5d3c6faa2aeca546d639552c"
+# recorded with the twin-step and kept-window kernel walk; partition_rounds
+# over reference_round_weights in tests/test_rounder.py gives the same
+# colourings
+GOLDEN_PARTITION_SHA256 = "3a8fe28cfa8d3cc175807416d01bb516e178cf98fb5880ddc4dceb4262d7c540"
 
 
 def test_colour_partition_golden_digest():

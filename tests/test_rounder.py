@@ -92,15 +92,18 @@ def reference_round_weights(h, z):
     """The kernel walk in Fractions, with its window recounted from scratch
     at every growth step. Used as an oracle.
 
-    The window is a set of fractional edges, each with a constrained member,
-    kept from one iteration to the next; its rows are the constrained
-    vertices it touches. Each iteration drops the window edges left with no
-    constrained member, then, while the window has no more columns than
-    rows, adds the fractional edge outside it with a constrained member
-    that brings the fewest new rows, ties to the lowest id. The system of
-    the rows over the window's columns in ascending id is solved densely by
-    reference_kernel, every step length and weight is a Fraction, and the
-    fixed edges leave the window.
+    Each iteration first groups the fractional edges by their constrained
+    members; when two share them (twins), it steps along e_a - e_b, with a
+    the lowest edge that has a twin and b the lowest of a's twins. Otherwise
+    it steps on the window: a set of fractional edges, each with a
+    constrained member, kept from one iteration to the next; its rows are
+    the constrained vertices it touches. Such a step drops the window edges
+    left with no constrained member, then, while the window has no more
+    columns than rows, adds the fractional edge outside it with a
+    constrained member that brings the fewest new rows, ties to the lowest
+    id. The system of the rows over the window's columns in ascending id is
+    solved densely by reference_kernel. Every step length and weight is a
+    Fraction, and the fixed edges leave the window.
 
     After every step it asserts the walk's invariants: each vertex
     constrained in that step keeps its incident sum of z, and every weight
@@ -119,23 +122,34 @@ def reference_round_weights(h, z):
         constrained = {v for v, d in frac_deg.items() if d > r}
         if not constrained:
             break
-        window = {e for e in window if h.edges[e] & constrained}
-        while True:
-            rows = set()
-            for e in window:
-                rows |= h.edges[e] & constrained
-            if len(window) > len(rows):
-                break
-            candidates = [e for e in hv if e not in window and h.edges[e] & constrained]
-            assert candidates, "the walk guarantees a candidate while |W| <= |R|"
-            window.add(
-                min(candidates, key=lambda e: (len((h.edges[e] & constrained) - rows), e))
+        # twins: fractional edges with the same constrained members
+        groups = {}
+        for e in hv:  # ascending
+            members = h.edges[e] & constrained
+            if members:
+                groups.setdefault(frozenset(members), []).append(e)
+        pairs = [group[:2] for group in groups.values() if len(group) > 1]
+        if pairs:
+            a, b = min(pairs)
+            moving = [(a, F(1)), (b, F(-1))]
+        else:
+            window = {e for e in window if h.edges[e] & constrained}
+            while True:
+                rows = set()
+                for e in window:
+                    rows |= h.edges[e] & constrained
+                if len(window) > len(rows):
+                    break
+                candidates = [e for e in hv if e not in window and h.edges[e] & constrained]
+                assert candidates, "the walk guarantees a candidate while |W| <= |R|"
+                window.add(
+                    min(candidates, key=lambda e: (len((h.edges[e] & constrained) - rows), e))
+                )
+            cols = sorted(window)
+            d = reference_kernel(
+                [[1 if v in h.edges[e] else 0 for e in cols] for v in sorted(rows)]
             )
-        cols = sorted(window)
-        d = reference_kernel(
-            [[1 if v in h.edges[e] else 0 for e in cols] for v in sorted(rows)]
-        )
-        moving = [(e, de) for e, de in zip(cols, d) if de]
+            moving = [(e, de) for e, de in zip(cols, d) if de]
         t = min((1 - hv[e]) / de if de > 0 else hv[e] / -de for e, de in moving)
         n_frac = len(hv)
         fixed = []
@@ -284,8 +298,9 @@ def test_step_to_boundary_errors():
 
 
 def test_round_star_system():
-    # one constrained vertex over three fractional edges: the system is
-    # [[1, 1, 1]] with kernel (1, -1, 0)
+    # one constrained vertex over three fractional edges, each with only
+    # that vertex constrained: edges 0 and 1 are twins, and the step along
+    # e_0 - e_1 fixes edge 0
     h = Hypergraph(4, [(0, 1), (0, 2), (0, 3)])
     x, trace = round_weights(h, Weighting([F(2, 3)] * 3))
     assert trace.iterations == (TraceStep(1, 3, F(1, 3), (0,)),)
@@ -293,11 +308,10 @@ def test_round_star_system():
 
 
 def test_round_block_diagonal_system():
-    # two constrained vertices with disjoint fractional stars. The window
-    # starts at edge 0 (row 0) and adds edge 1, which brings no new row;
-    # the kernel of [[1, 1]] is (1, -1) and fixes both. Vertex 0 then
-    # leaves the constrained set, edge 2 has no constrained member left,
-    # and the window starts again at edge 3 on vertex 4
+    # two constrained vertices with disjoint fractional stars. Edges 0 and
+    # 1 are the lowest twins, and the step along e_0 - e_1 fixes both.
+    # Vertex 0 then leaves the constrained set, and the next twins are
+    # edges 3 and 4 on vertex 4
     h = Hypergraph(8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)])
     x, trace = round_weights(h, Weighting([F(1, 2)] * 6))
     assert trace.iterations == (
@@ -307,14 +321,62 @@ def test_round_block_diagonal_system():
     assert x.weights == (F(1), F(0), F(1), F(1), F(0), F(1))
 
 
+# no two edges of K4 share their constrained members, so its walk starts
+# with a window step
+K4 = Hypergraph(4, list(itertools.combinations(range(4), 2)))
+
+
+def test_round_k4_starts_with_a_window_step():
+    # every vertex is constrained; the window grows to edges 0-4 over all
+    # four rows, and its kernel (0, 1, -1, -1, 1) fixes edges 1 and 4
+    x, trace = round_weights(K4, Weighting([F(2, 3)] * 6))
+    assert trace.iterations == (TraceStep(4, 6, F(1, 3), (1, 4)),)
+    assert x.weights == (F(1), F(1), F(0), F(0), F(1), F(1))
+
+
+def test_round_twins_before_the_window():
+    # the HGR file "4 3 / 1 2 / 2 3 / 1 3 / 1 2", all weights 1/2: vertices
+    # 0 and 1 are constrained, and the parallel edges 0 and 3 are twins. The
+    # step along e_0 - e_3 fixes both, both vertices leave, and edges 1 and
+    # 2 round up
+    h = Hypergraph(3, [(0, 1), (1, 2), (0, 2), (0, 1)])
+    x, trace = round_weights(h, Weighting([F(1, 2)] * 4))
+    assert trace.iterations == (TraceStep(2, 4, F(1, 2), (0, 3)),)
+    assert x.weights == (F(1), F(1), F(1), F(0))
+
+
+def test_round_twins_after_a_vertex_leaves():
+    # vertex 1 is constrained over edges 1-3 and vertex 2 over 0-3, so
+    # edge 0 (constrained members {2}) has no twin at first. The twin step
+    # on 1 and 2 fixes edge 2, vertex 1 leaves, and edges 1 and 3 are left
+    # with {2}: edge 0 now twins with edge 1, and that step fixes edge 0
+    h = Hypergraph(3, [(0, 2), (1, 2), (1, 2), (1, 2)])
+    z = Weighting([F(2, 3), F(1, 3), F(1, 3), F(2, 3)])
+    x, trace = round_weights(h, z)
+    assert trace.iterations == (
+        TraceStep(2, 4, F(1, 3), (2,)),
+        TraceStep(1, 3, F(1, 3), (0,)),
+    )
+    assert x.weights == (F(1), F(0), F(0), F(1))
+    assert (x, trace) == reference_round_weights(h, z)
+
+
+def test_round_checks_its_output(monkeypatch):
+    # a core whose rounding leaves the rank band is caught at the boundary,
+    # and the band is strict: rounding the star's three 2/3 edges down puts
+    # its centre a gap of exactly the rank below its sum of 2
+    monkeypatch.setattr(rounder, "_walk", lambda h_graph, num, den: ([0, 0, 0], []))
+    with pytest.raises(InvariantBreach, match="left the rank band"):
+        round_weights(Hypergraph(4, [(0, 1), (0, 2), (0, 3)]), Weighting([F(2, 3)] * 3))
+
+
 def test_window_growth_without_candidates_is_a_breach(monkeypatch):
     # the walk always finds a candidate while the window has no more
     # columns than rows; a bookkeeping fault that loses them all is
     # reported, not looped on or stepped through
     monkeypatch.setattr(rounder, "_pop_candidate", lambda buckets, state, n_out: -1)
-    h = Hypergraph(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(InvariantBreach, match="ran out of candidate edges"):
-        round_weights(h, Weighting([F(2, 3)] * 3))
+        round_weights(K4, Weighting([F(2, 3)] * 6))
 
 
 def test_finalize_threshold_rule():
@@ -333,19 +395,38 @@ def test_finalize_threshold_rule():
         assert (num, den) == after
 
 
-def test_step_that_fixes_nothing_is_a_breach(monkeypatch):
-    # half the step lands no edge on 0 or 1; the walk reports that rather
-    # than stepping again without end
+def half_step(monkeypatch):
+    """Halve every step length _step returns, so that no edge lands on 0 or
+    1."""
     step = rounder._step
 
-    def half_step(nums, dens, dirs):
+    def half(nums, dens, dirs):
         tn, tq = step(nums, dens, dirs)
         return tn, 2 * tq
 
-    monkeypatch.setattr(rounder, "_step", half_step)
-    h = Hypergraph(4, [(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(InvariantBreach, match="fixed no edge"):
-        round_weights(h, Weighting([F(2, 3)] * 3))
+    monkeypatch.setattr(rounder, "_step", half)
+
+
+def test_step_that_fixes_nothing_is_a_breach(monkeypatch):
+    # half the window step lands no edge on 0 or 1; the walk reports that
+    # rather than stepping again without end
+    half_step(monkeypatch)
+    with pytest.raises(InvariantBreach, match="kernel step fixed no edge"):
+        round_weights(K4, Weighting([F(2, 3)] * 6))
+
+
+def test_twin_step_that_fixes_nothing_is_a_breach(monkeypatch):
+    # three parallel edges are twins, so the walk steps without a window,
+    # and half that step fixes nothing either
+    half_step(monkeypatch)
+
+    def no_window(rows, holders):
+        raise AssertionError("a window step on twins")
+
+    monkeypatch.setattr(rounder, "_first_dependent", no_window)
+    h = Hypergraph(2, [(0, 1), (0, 1), (0, 1)])
+    with pytest.raises(InvariantBreach, match="kernel step fixed no edge"):
+        round_weights(h, Weighting([F(1, 2)] * 3))
 
 
 def test_finalize_rejects_constrained_leftovers():
@@ -476,31 +557,43 @@ def test_round_matches_fraction_reference_property(case):
 
 
 def test_kernel_windows_stay_local(monkeypatch):
-    # counts, not times: every system the walk hands _first_dependent has
-    # more columns than rows, and its rows are well short of the whole
-    # constrained set. On this instance (m = 1541) the kept windows average
-    # about 64 rows against about 107 constrained vertices; windows over the
-    # whole constrained set, as the walk once used, average about 108 rows
+    # counts, not times: every step is a window step or a twin step, every
+    # system the walk hands _first_dependent has more columns than rows,
+    # and its rows are well short of the whole constrained set. On this
+    # instance (m = 1541) 95 of 1820 steps are twin steps, and the kept
+    # windows average about 65 rows against about 107 constrained vertices;
+    # windows over the whole constrained set, as the walk once used,
+    # average about 108 rows
     systems = []
     steps = []
+    twin_steps = []
 
     def first_dependent(rows, holders):
         systems.append((len(rows), len(holders)))
         return solve(rows, holders)
 
-    def round_weights_traced(h_graph, z):
-        x, trace = solve_round(h_graph, z)
-        steps.extend(trace.iterations)
-        return x, trace
+    def step_counted(nums, dens, dirs):
+        # a window step moves at least three edges: a kernel vector on two
+        # 0/1 columns makes them twins, and twins are stepped on first
+        if len(dirs) == 2:
+            twin_steps.append(tuple(dirs))
+        return step(nums, dens, dirs)
 
-    solve, solve_round = rounder._first_dependent, partition.round_weights
+    def walk_traced(h_graph, num, den):
+        bits, trace = walk(h_graph, num, den)
+        steps.extend(trace)
+        return bits, trace
+
+    solve, step, walk = rounder._first_dependent, rounder._step, partition._walk
     monkeypatch.setattr(rounder, "_first_dependent", first_dependent)
-    monkeypatch.setattr(partition, "round_weights", round_weights_traced)
+    monkeypatch.setattr(rounder, "_step", step_counted)
+    monkeypatch.setattr(partition, "_walk", walk_traced)
     partition.colour_partition(generate(GenSpec("uniform", 120, 3, 24, 5)), 2)
-    assert len(systems) == len(steps) > 1000
+    assert len(systems) + len(twin_steps) == len(steps) > 1000
+    assert set(twin_steps) == {(1, -1)}
     assert all(cols > rows for rows, cols in systems)
     mean_rows = sum(rows for rows, _ in systems) / len(systems)
-    mean_constrained = sum(step.n_constrained for step in steps) / len(steps)
+    mean_constrained = sum(n_constrained for n_constrained, *_ in steps) / len(steps)
     assert mean_rows < 0.75 * mean_constrained
 
 
@@ -544,10 +637,10 @@ def test_round_small_instances_match_brute_force():
         assert tuple(int(w) for w in x.weights) in feasible
 
 
-# sha256 of golden_rounding_digest() under the kept-window rule, which
-# reference_round_weights reproduces; a change to any rounded weight or trace
-# step of these calls changes it.
-GOLDEN_ROUNDING_SHA256 = "754ec5c3fb8dc20c0e160a20ba52fbda52a0c17d331bf00f20612b44301461af"
+# sha256 of golden_rounding_digest() under the twin-step and kept-window
+# rules, which reference_round_weights reproduces; a change to any rounded
+# weight or trace step of these calls changes it.
+GOLDEN_ROUNDING_SHA256 = "a8debeb5436f7ca4f0a58c3fc46378f6bbb74257f50d7cf0d8955c7ed29f8b1d"
 
 
 def golden_rounding_calls():
@@ -595,3 +688,23 @@ def golden_rounding_digest():
 
 def test_round_weights_golden_digest():
     assert golden_rounding_digest() == GOLDEN_ROUNDING_SHA256
+
+
+# The largest TraceStep.step denominator in bits over golden_rounding_calls(),
+# as the window walk without twin steps left it: 8 over the 24 alpha-weight
+# calls of the partition rounds, and 24 over the 8 calls with random
+# rationals. The twin steps give 7 and 25: with input denominators from 2 to
+# 1000, one window step of the 31st call carries a denominator one bit
+# longer.
+WINDOW_WALK_ALPHA_STEP_BITS = 8
+TWIN_WALK_RATIONAL_STEP_BITS = 25
+
+
+def test_step_denominators_stay_short():
+    bits = [
+        max((step.step.denominator.bit_length() for step in trace.iterations), default=0)
+        for _, _, _, trace in golden_rounding_calls()
+    ]
+    assert len(bits) == 32
+    assert max(bits[:24]) <= WINDOW_WALK_ALPHA_STEP_BITS
+    assert max(bits[24:]) <= TWIN_WALK_RATIONAL_STEP_BITS
