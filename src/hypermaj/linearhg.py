@@ -26,10 +26,10 @@ two vertices, so H* is linear when H is.
 
 colour_linear does steps 2 and 3 in one pass in ascending edge order,
 with a cursor per vertex u instead of H* or the line graph. Block j of
-u is the incidence of one sub-vertex, and since the dealing cuts u's
-ascending incidence into consecutive runs, the cursor needs only the
-block lengths: the edges left in u's current block, a bit mask of the
-colours that block already holds, and the lengths still to come. An
+u is the incidence of one sub-vertex, a run of u's ascending incidence
+whose length follows from d(u) and k alone, so the cursor holds the
+edges left in u's current block, the runs of k+1 edges not yet
+finished, and a bit mask of the colours the block already holds. An
 edge e takes the lowest colour missing from the OR of its vertices'
 masks; the blocks of e hold only earlier edges at that point, so this
 is exactly the set first-fit on the line graph reads. split_hypergraph,
@@ -38,15 +38,14 @@ split_hypergraph is package API, and the CLI's --emit-split prints its
 blocks; line_graph, greedy_colour and LineGraph are a module-level
 reference that tests and the benchmark use.
 
-Both entry points certify the split by one rule, the one the majority
-bound uses: each vertex's blocks are consecutive runs of k or k+1 edges
-that cover its ascending incidence. It is checked in bulk on the block
-lengths against the degrees; split_hypergraph, the one caller that hands
-out block contents, also compares the concatenated blocks with the
-concatenated incidence, so every edge gets one distinct sub-vertex per
-vertex and keeps its size. colour_linear's cursor reads only the
-lengths, so its check stops there; it also checks the colours against
-the palette.
+Both entry points certify the rule the majority bound uses: each
+vertex's blocks are consecutive runs of k or k+1 edges that cover its
+ascending incidence. split_hypergraph checks the blocks it hands out in
+bulk, their lengths against the degrees and their concatenation against
+the incidence, so every edge gets one distinct sub-vertex per vertex
+and keeps its size. The cursor makes only such runs, so colour_linear
+checks that they came out even: every cursor ends on a block boundary
+with no run of k+1 left. It also checks the colours against the palette.
 
 Determinism: incident edges are dealt to sub-vertices in ascending
 edge-id order, and first-fit also runs in ascending edge order.
@@ -61,6 +60,8 @@ from .errors import InvariantBreach, PreconditionError
 from .hypercore import Colouring, Hypergraph
 
 __all__ = ["split_hypergraph", "colour_linear"]
+
+_NOT_RUNS = "split blocks are not runs of k or k+1 edges covering the incidence"
 
 
 @frozen_record
@@ -110,19 +111,16 @@ def _check_splittable(h_graph: Hypergraph, k: int) -> None:
 
 
 def _certify_runs(
-    h_graph: Hypergraph,
-    k: int,
-    lengths: list[tuple[int, ...]],
-    blocks: list[tuple[tuple[int, ...], ...]] | None = None,
+    h_graph: Hypergraph, k: int, blocks: list[tuple[tuple[int, ...], ...]]
 ) -> None:
-    """The split's one certificate, the rule the majority bound rests on:
+    """The split's certificate, the rule the majority bound rests on:
     each vertex's blocks are consecutive runs of k or k+1 edges that cover
-    its ascending incidence. lengths[u] are the lengths of u's blocks and
-    blocks[u], when given, the blocks themselves. The rule is checked in
-    bulk; only a failure goes vertex by vertex, to name the first vertex
-    that breaks it."""
+    its ascending incidence; blocks[u] are the blocks of u. The rule is
+    checked in bulk; only a failure goes vertex by vertex, to name the
+    first vertex that breaks it."""
     degrees = h_graph.degrees()
     incidence = h_graph.incidence()
+    lengths = [tuple(map(len, bs)) for bs in blocks]
 
     def hold(us: slice) -> bool:
         sizes = list(chain.from_iterable(lengths[us]))
@@ -130,20 +128,14 @@ def _certify_runs(
             k <= min(sizes, default=k)
             and max(sizes, default=k) <= k + 1
             and tuple(map(sum, lengths[us])) == degrees[us]
-            and (
-                blocks is None
-                or list(chain.from_iterable(chain.from_iterable(blocks[us])))
-                == list(chain.from_iterable(incidence[us]))
-            )
+            and list(chain.from_iterable(chain.from_iterable(blocks[us])))
+            == list(chain.from_iterable(incidence[us]))
         )
 
     if not hold(slice(None)):
         u = next(u for u in range(len(lengths)) if not hold(slice(u, u + 1)))
         raise InvariantBreach(
-            "split blocks are not runs of k or k+1 edges covering the incidence",
-            vertex=u,
-            block_sizes=lengths[u],
-            degree=degrees[u],
+            _NOT_RUNS, vertex=u, block_sizes=lengths[u], degree=degrees[u]
         )
 
 
@@ -161,15 +153,14 @@ def split_hypergraph(
     _check_splittable(h_graph, k)
     splits = [_deal(incident, k) for incident in h_graph.incidence()]
     blocks = [split.blocks for split in splits]
-    lengths = [tuple(map(len, bs)) for bs in blocks]
-    _certify_runs(h_graph, k, lengths, blocks)
+    _certify_runs(h_graph, k, blocks)
     # H* needs no validation: certified runs give every edge one distinct
     # in-range sub-vertex per vertex, so its edges are non-empty sets
     members: list[list[int]] = [[] for _ in h_graph.edges]
     for s, block in enumerate(chain.from_iterable(blocks)):
         for e in block:
             members[e].append(s)
-    h_star = Hypergraph._trusted(sum(map(len, lengths)), [frozenset(ms) for ms in members])
+    h_star = Hypergraph._trusted(sum(map(len, blocks)), [frozenset(ms) for ms in members])
     return h_star, tuple(splits)
 
 
@@ -210,20 +201,20 @@ def greedy_colour(lg: LineGraph) -> tuple[int, ...]:
 
 
 def _cursor_fit(
-    edges: tuple[frozenset[int], ...], lengths: list[tuple[int, ...]]
+    edges: tuple[frozenset[int], ...], degrees: tuple[int, ...], k: int
 ) -> list[int]:
-    """greedy_colour(line_graph(H*)) for the H* whose sub-vertices are
-    runs of each vertex's ascending incidence, lengths[u] long.
+    """greedy_colour(line_graph(H*)) for the H* of split_hypergraph.
 
     One pass in ascending edge order with a cursor per vertex u: the
-    edges left in its current block, a bit mask of the colours that block
-    already holds (bit c - 1 for colour c) and an iterator over the block
-    lengths still to come. The blocks of e hold only earlier edges, so
-    the OR of their masks is the set first-fit reads, and e takes its
-    lowest clear bit."""
-    coming = list(map(iter, lengths))
-    left = [next(it, 0) for it in coming]
-    mask = [0] * len(lengths)
+    edges left in its current block, the runs of k+1 not yet finished
+    (d(u) mod k at first) and a bit mask of the colours the block already
+    holds (bit c - 1 for colour c). The blocks of e hold only earlier
+    edges, so the OR of their masks is the set first-fit reads, and e
+    takes its lowest clear bit. A cursor that ends inside a block or with
+    a run of k+1 left, as d(u) < k^2 - k can leave it, is a breach."""
+    runs = [d % k for d in degrees]
+    left = [k + 1 if m else k for m in runs]
+    mask = [0] * len(degrees)
     colours = [0] * len(edges)
     for e, fs in enumerate(edges):
         used = 0
@@ -237,8 +228,13 @@ def _cursor_fit(
                 left[u] = n
                 mask[u] |= bit
             else:
-                left[u] = next(coming[u], 0)
                 mask[u] = 0
+                if runs[u]:
+                    runs[u] -= 1
+                left[u] = k + 1 if runs[u] else k
+    if any(mask) or any(runs):
+        u = next(u for u, m in enumerate(runs) if m or mask[u])
+        raise InvariantBreach(_NOT_RUNS, vertex=u, degree=degrees[u])
     return colours
 
 
@@ -247,9 +243,7 @@ def colour_linear(h_graph: Hypergraph, k: int) -> Colouring:
     colour at most floor(d(u)/k) times. Input needs k >= 2 and minimum
     degree at least k^2 - k; it need not be linear."""
     _check_splittable(h_graph, k)
-    lengths = [tuple(map(len, _deal(incident, k).blocks)) for incident in h_graph.incidence()]
-    _certify_runs(h_graph, k, lengths)
-    colours = _cursor_fit(h_graph.edges, lengths)
+    colours = _cursor_fit(h_graph.edges, h_graph.degrees(), k)
     palette = k * h_graph.rank() + 1
     top = max(colours, default=0)
     if top > palette:

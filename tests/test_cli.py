@@ -118,6 +118,17 @@ def test_verify_length_mismatch_exit_2(tmp_path, capsys):
     assert captured.err == "error: colouring has 2 entries for 3 edges\n"
 
 
+def test_verify_malformed_colouring_exit_2(tmp_path, capsys):
+    hgr = tmp_path / "in.hgr"
+    col = tmp_path / "c.col"
+    hgr.write_text(TRIANGLE)
+    col.write_text("# palette 3\n1\n0\n2\n")
+    assert cli.main(["verify", str(hgr), str(col), "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: colour 0 must be at least 1\n"
+
+
 def test_colour_linear_accepts_non_linear_input(tmp_path):
     # the complete 3-uniform hypergraph on 4 vertices: every two edges
     # share two vertices, and every vertex has degree 3 >= k^2 - k
@@ -151,7 +162,7 @@ def test_colour_linear_internal_breach_exit_3(tmp_path, monkeypatch, capsys):
     hgr = tmp_path / "in.hgr"
     out = tmp_path / "out.col"
     hgr.write_text(TRIANGLE)
-    monkeypatch.setattr(linearhg, "_cursor_fit", lambda edges, lengths: [6] * len(edges))
+    monkeypatch.setattr(linearhg, "_cursor_fit", lambda edges, degrees, k: [6] * len(edges))
     code = cli.main(
         ["colour", "--algorithm", "linear", "--k", "2", str(hgr), "-o", str(out)]
     )
@@ -270,6 +281,24 @@ def test_colour_partition_trace_lines(tmp_path):
     lines = res.stdout.splitlines()
     assert lines[0].startswith("round 1 alpha 3/8 class_size ")
     assert lines[1].startswith("round 2 alpha 1/2 class_size ")
+
+
+def test_colour_partition_trace_json_lines(tmp_path, capsys):
+    # at min degree 2rk^2 the partition colourer runs two rounds; each
+    # row is one JSON object, its alpha a Fraction printed as text
+    hgr = tmp_path / "in.hgr"
+    hgr.write_text(serialize_hypergraph(generate(GenSpec("regular", 18, 2, 16, 7))))
+    argv = [
+        "--format", "json-lines", "colour", "--algorithm", "partition", "--k", "2",
+        str(hgr), "-o", str(tmp_path / "out.col"), "--trace",
+    ]
+    assert cli.main(argv) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(row["type"], row.get("round"), row.get("alpha")) for row in rows] == [
+        ("round", 1, "3/8"),
+        ("round", 2, "1/2"),
+        ("summary", None, None),
+    ]
 
 
 def test_round_subcommand_with_trace(tmp_path):
@@ -461,6 +490,20 @@ def test_output_through_a_symlink_writes_its_target(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "broken.hgr", "dangling.hgr", "live.hgr", "new.hgr", "real.hgr"
     ]
+
+
+def test_interrupted_write_keeps_the_target_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "out.col"
+    target.write_text("# palette 3\n1\n")
+
+    def interrupt(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli._atomic_write(str(target), "# palette 3\n2\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.col"]
+    assert target.read_text() == "# palette 3\n1\n"
 
 
 @pytest.mark.parametrize(

@@ -60,6 +60,10 @@ def test_parse_bad_header():
     with pytest.raises(FormatError) as exc:
         parse_hypergraph("3\n1 2\n")
     assert exc.value.line == 1
+    for text in ("", "% c\n"):
+        with pytest.raises(FormatError) as exc:
+            parse_hypergraph(text)
+        assert (exc.value.line, exc.value.message) == (1, "missing header")
 
 
 def test_parse_missing_and_extra_edges():
@@ -273,6 +277,10 @@ def test_parse_colouring_reports_the_offending_line():
         ("# palette 0\n1\n", 2, "colour 1 of edge 1 outside palette [1, 0]"),
         ("# palette -1\n", 1, "palette size -1 must be non-negative"),
         ("# palette -2\n1\n", 1, "palette size -2 must be non-negative"),
+        ("# pal 3\n1\n", 1, "malformed colouring header '# pal 3'; expected '# palette <C>'"),
+        ("# palette 3\n1\n\n2\n", 3, "empty line in colouring file"),
+        ("# palette 3\n0\n", 2, "colour 0 must be at least 1"),
+        ("1\n-1\n", 2, "colour -1 must be at least 1"),
     ]
     for text, line, message in cases:
         with pytest.raises(FormatError) as exc:

@@ -57,6 +57,17 @@ def test_split_degrees_even():
     assert split_of_degree(8, 2) == (0, 4)
 
 
+def test_colour_linear_colours_each_run_from_1():
+    # the split rule on one vertex: d mod k runs of k+1 edges, then runs
+    # of k, over the ascending incidence; the size-1 edges meet nowhere
+    # else, so first-fit restarts at colour 1 in every run
+    for k in range(2, 6):
+        for d in range(k * k - k, 61):
+            t, m = divmod(d, k)
+            want = (*range(1, k + 2),) * m + (*range(1, k + 1),) * (t - m)
+            assert colour_linear(lone_vertex(d), k).colours == want, (k, d)
+
+
 def test_split_degrees_preconditions():
     with pytest.raises(PreconditionError, match="k must be at least 2, got 1"):
         split_hypergraph(lone_vertex(5), 1)
@@ -271,7 +282,7 @@ def test_colour_linear_empty_hypergraph():
 def test_colour_linear_breach_when_greedy_overflows_palette(monkeypatch):
     # a first-fit step that ignored its degree bound would hand back a
     # colour beyond k*rank+1; the colourer must refuse it
-    monkeypatch.setattr(linearhg, "_cursor_fit", lambda edges, lengths: [6] * len(edges))
+    monkeypatch.setattr(linearhg, "_cursor_fit", lambda edges, degrees, k: [6] * len(edges))
     with pytest.raises(InvariantBreach) as exc:
         colour_linear(complete_graph(4), 2)
     assert exc.value.context == {"colour": 6, "palette": 5}
@@ -427,16 +438,15 @@ def test_colour_linear_golden_digest():
 
 
 def assert_runs_breach(h, k, vertex, block_sizes, degree):
-    """Both entry points refuse the split with the one breach of the run
+    """split_hypergraph refuses the split with the one breach of the run
     rule, naming the vertex, its block sizes and its degree."""
-    for run in (split_hypergraph, colour_linear):
-        with pytest.raises(InvariantBreach, match="not runs of k or k\\+1 edges") as exc:
-            run(h, k)
-        assert exc.value.context == {
-            "vertex": vertex,
-            "block_sizes": block_sizes,
-            "degree": degree,
-        }, run
+    with pytest.raises(InvariantBreach, match="not runs of k or k\\+1 edges") as exc:
+        split_hypergraph(h, k)
+    assert exc.value.context == {
+        "vertex": vertex,
+        "block_sizes": block_sizes,
+        "degree": degree,
+    }
 
 
 def test_split_breach_sub_vertex_above_degree_k_plus_1(monkeypatch):
@@ -471,7 +481,7 @@ def test_split_breach_edge_size(monkeypatch):
     assert_runs_breach(FANO, 2, 0, (), 3)
 
 
-def test_colour_linear_breach_when_a_block_is_empty(monkeypatch):
+def test_split_breach_when_a_block_is_empty(monkeypatch):
     # an empty block is a sub-vertex of degree 0, a run shorter than k
     real = linearhg._deal
 
@@ -481,6 +491,17 @@ def test_colour_linear_breach_when_a_block_is_empty(monkeypatch):
 
     monkeypatch.setattr(linearhg, "_deal", add_empty)
     assert_runs_breach(FANO, 2, 0, (3, 0), 3)
+
+
+def test_colour_linear_breach_when_runs_do_not_cover_the_degree(monkeypatch):
+    # d = 5 < k^2 - k = 6 at k = 3 asks for d mod k = 2 runs of 4 edges:
+    # the incidence runs out inside the second, so neither route may
+    # return a colouring
+    monkeypatch.setattr(linearhg, "_check_splittable", lambda h, k: None)
+    with pytest.raises(InvariantBreach, match="not runs of k or k\\+1 edges") as exc:
+        colour_linear(lone_vertex(5), 3)
+    assert exc.value.context == {"vertex": 0, "degree": 5}
+    assert_runs_breach(lone_vertex(5), 3, 0, (4,), 5)
 
 
 def test_split_breach_singleton_blocks(monkeypatch):
@@ -497,8 +518,8 @@ def test_split_breach_singleton_blocks(monkeypatch):
 
 def test_split_breach_blocks_out_of_order(monkeypatch):
     # right lengths, wrong contents: the blocks of a reversed incidence.
-    # Only split_hypergraph hands out contents, so only it compares them;
-    # colour_linear's cursor reads the lengths alone and is unaffected.
+    # Only split_hypergraph hands out blocks; colour_linear deals none and
+    # is unaffected.
     real = linearhg._deal
     want = colour_linear(complete_graph(5), 2)
     monkeypatch.setattr(linearhg, "_deal", lambda incident, k: real(incident[::-1], k))
