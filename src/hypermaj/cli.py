@@ -3,9 +3,10 @@
 Subcommands: colour, verify, round, threshold, generate, oracle.
 Exit codes: 0 success; 1 the requested property does not hold (invalid
 colouring, no oracle witness, no resampling trial succeeded: each was
-exhausted, or infeasible because some vertex has 0 < d(v) < k);
-2 malformed input or violated precondition; 3 internal error (an
-algorithm's own guarantee failed, which is a bug, not bad input).
+exhausted, or infeasible because some vertex has (k+1)*(d(v)//k) <
+d(v)); 2 malformed input or violated precondition; 3 internal error (an
+algorithm's own guarantee failed, which is a bug, not bad input; colour
+then writes no output file and no colouring to stdout).
 --k and --r above MAX_K_OR_R are usage errors (exit 2), refused before
 any input is read; so are colour's --seed below 0 or above MAX_SEED and
 --trials above MAX_TRIALS. A negative seed would repeat the draws of its
@@ -66,11 +67,10 @@ MAX_TRIALS = 10**4
 __all__ = ["DEFAULT_SEED", "main"]
 
 # The home module of every library name a handler calls. The handlers
-# reach these names as attributes of _lib, which reads them from this
-# module's namespace at each call: a name resolves through __getattr__
-# below, loading its home module, the first time a handler calls it, and
-# a value set on the module (a test's stand-in, a tracer's wrapper) is
-# the one called.
+# reach these names as attributes of _lib, this module itself, at each
+# call: a name resolves through __getattr__ below, loading its home
+# module, the first time a handler calls it, and a value set on the
+# module (a test's stand-in, a tracer's wrapper) is the one called.
 _HOMES = {
     **dict.fromkeys(
         ("parse_hypergraph", "parse_colouring", "parse_weights",
@@ -94,13 +94,7 @@ def __getattr__(name: str):
     return value
 
 
-class _Library:
-    def __getattr__(self, name: str):
-        namespace = globals()
-        return namespace[name] if name in namespace else __getattr__(name)
-
-
-_lib = _Library()
+_lib = sys.modules[__name__]
 
 
 class Reporter:
@@ -230,6 +224,7 @@ def _cmd_colour(args, rep: Reporter) -> int:
     k = args.k
     rows = []  # (kind, fields, text) report lines, emitted after delivery
     failed = False  # no random-lll trial succeeded
+    splits = None  # the blocks for --emit-split
 
     if args.algorithm == "partition":
         colouring, alphas = _lib.partition_rounds(h_graph, k)
@@ -241,7 +236,6 @@ def _cmd_colour(args, rep: Reporter) -> int:
     elif args.algorithm == "linear":
         if args.emit_split:
             _, splits = _lib.split_hypergraph(h_graph, k)
-            _atomic_write(args.emit_split, _split_lines(splits))
         colouring = _lib.colour_linear(h_graph, k)
     else:  # random-lll
         # only the colouring to print (first success, else the first
@@ -255,22 +249,24 @@ def _cmd_colour(args, rep: Reporter) -> int:
             row = {"seed": run.seed, "outcome": run.outcome, "rounds": run.rounds_used}
             rows.append(("trial", row, None))
 
-    stream = _deliver(_lib.serialize_colouring(colouring), args.output)
+    report = None if failed or args.no_verify else _lib.verify(h_graph, k, colouring)
+    broken = report is not None and not report.valid
+    if broken:
+        # a colouring that fails its own check is a bug, like a breach:
+        # nothing is written, and every result line goes to stderr
+        stream = sys.stderr
+    else:
+        if splits is not None:
+            _atomic_write(args.emit_split, _split_lines(splits))
+        stream = _deliver(_lib.serialize_colouring(colouring), args.output)
     for kind, row, text in rows:
         rep.emit(kind, row, stream, text)
-    palette = colouring.palette_size
-    if failed:
-        _summary(rep, stream, args.algorithm, k, palette, False, t0)
-        return 1
-    if args.no_verify:
-        _summary(rep, stream, args.algorithm, k, palette, None, t0)
-        return 0
-    report = _lib.verify(h_graph, k, colouring)
-    _summary(rep, stream, args.algorithm, k, palette, report.valid, t0)
-    if not report.valid:
+    valid = False if failed else None if report is None else report.valid
+    _summary(rep, stream, args.algorithm, k, colouring.palette_size, valid, t0)
+    if broken:
         _emit_violations(rep, report)
         return 3
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_verify(args, rep: Reporter) -> int:

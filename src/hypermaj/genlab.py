@@ -102,7 +102,8 @@ def brute_force(h: Hypergraph, k: int, palette: int) -> Optional[Colouring]:
     assignment is abandoned as soon as some vertex exceeds its per-colour
     bound. Guarded to c**|E| <= 10^8 states for the c = min(palette, |E|)
     colours tried per edge: counting at least two choices per edge also
-    caps the recursion depth at 27.
+    caps the recursion depth at 27. Past the guard, an input with a vertex
+    of degree d > palette * (d // k) returns None without a search.
     """
     if k < 2:
         raise PreconditionError(f"k must be at least 2, got {k}")
@@ -121,6 +122,10 @@ def brute_force(h: Hypergraph, k: int, palette: int) -> Optional[Colouring]:
             f"search space {choices}^{m} exceeds the {BRUTE_FORCE_LIMIT} guard"
         )
     bounds = [d // k for d in h.degrees()]
+    # palette colours hold at most palette * (d // k) of the d edges at a
+    # vertex, so one with more edges has no valid colouring at all
+    if any(palette * b < d for b, d in zip(bounds, h.degrees())):
+        return None
     counts = [[0] * (top + 1) if d else () for d in h.degrees()]
     chosen = [0] * m
 

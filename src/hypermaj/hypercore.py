@@ -22,12 +22,8 @@ where the edges come from:
                            range-checked once, a line's frozenset as long
                            as its token list, the declared edge count);
                            only a line it refuses is read token by token,
-                           to name its first fault;
-    split_hypergraph       builds H* from the sub-vertex blocks it deals,
-                           once they pass the split's one certificate:
-                           runs of k or k+1 edges covering each
-                           vertex's incidence (linearhg).
-The last two go through the private Hypergraph._trusted, which takes
+                           to name its first fault.
+parse_hypergraph goes through the private Hypergraph._trusted, which takes
 edges that already hold every invariant, builds the incidence lists from
 them and validates nothing; nothing else may call it.
 
@@ -104,9 +100,8 @@ class Hypergraph:
     def _trusted(cls, n_vertices: int, edges: list[frozenset[int]]) -> "Hypergraph":
         """A Hypergraph from edges that already satisfy every invariant
         the constructor checks (n_vertices >= 0; each edge a non-empty
-        frozenset of ids in range). Private: only parse_hypergraph and
-        split_hypergraph, which establish the invariants themselves, may
-        call it."""
+        frozenset of ids in range). Private: only parse_hypergraph, which
+        establishes the invariants itself, may call it."""
         h = cls.__new__(cls)
         h._index(n_vertices, edges)
         return h

@@ -40,12 +40,13 @@ reference that tests and the benchmark use.
 
 Both entry points certify the rule the majority bound uses: each
 vertex's blocks are consecutive runs of k or k+1 edges that cover its
-ascending incidence. split_hypergraph checks the blocks it hands out in
-bulk, their lengths against the degrees and their concatenation against
-the incidence, so every edge gets one distinct sub-vertex per vertex
-and keeps its size. The cursor makes only such runs, so colour_linear
-checks that they came out even: every cursor ends on a block boundary
-with no run of k+1 left. It also checks the colours against the palette.
+ascending incidence. split_hypergraph checks the blocks it hands out
+vertex by vertex, their lengths and their concatenation against the
+vertex's incidence, so every edge gets one distinct sub-vertex per
+vertex and keeps its size. The cursor makes only such runs, so
+colour_linear checks that they came out even: every cursor ends on a
+block boundary with no run of k+1 left. It also checks the colours
+against the palette.
 
 Determinism: incident edges are dealt to sub-vertices in ascending
 edge-id order, and first-fit also runs in ascending edge order.
@@ -115,28 +116,13 @@ def _certify_runs(
 ) -> None:
     """The split's certificate, the rule the majority bound rests on:
     each vertex's blocks are consecutive runs of k or k+1 edges that cover
-    its ascending incidence; blocks[u] are the blocks of u. The rule is
-    checked in bulk; only a failure goes vertex by vertex, to name the
-    first vertex that breaks it."""
-    degrees = h_graph.degrees()
-    incidence = h_graph.incidence()
-    lengths = [tuple(map(len, bs)) for bs in blocks]
-
-    def hold(us: slice) -> bool:
-        sizes = list(chain.from_iterable(lengths[us]))
-        return (
-            k <= min(sizes, default=k)
-            and max(sizes, default=k) <= k + 1
-            and tuple(map(sum, lengths[us])) == degrees[us]
-            and list(chain.from_iterable(chain.from_iterable(blocks[us])))
-            == list(chain.from_iterable(incidence[us]))
-        )
-
-    if not hold(slice(None)):
-        u = next(u for u in range(len(lengths)) if not hold(slice(u, u + 1)))
-        raise InvariantBreach(
-            _NOT_RUNS, vertex=u, block_sizes=lengths[u], degree=degrees[u]
-        )
+    its ascending incidence; blocks[u] are the blocks of u. The first
+    vertex that breaks it is named."""
+    for u, (bs, inc) in enumerate(zip(blocks, h_graph.incidence())):
+        sizes = tuple(map(len, bs))
+        runs = all(k <= n <= k + 1 for n in sizes)
+        if not runs or tuple(chain.from_iterable(bs)) != inc:
+            raise InvariantBreach(_NOT_RUNS, vertex=u, block_sizes=sizes, degree=len(inc))
 
 
 def split_hypergraph(
@@ -154,14 +140,11 @@ def split_hypergraph(
     splits = [_deal(incident, k) for incident in h_graph.incidence()]
     blocks = [split.blocks for split in splits]
     _certify_runs(h_graph, k, blocks)
-    # H* needs no validation: certified runs give every edge one distinct
-    # in-range sub-vertex per vertex, so its edges are non-empty sets
     members: list[list[int]] = [[] for _ in h_graph.edges]
     for s, block in enumerate(chain.from_iterable(blocks)):
         for e in block:
             members[e].append(s)
-    h_star = Hypergraph._trusted(sum(map(len, blocks)), [frozenset(ms) for ms in members])
-    return h_star, tuple(splits)
+    return Hypergraph(sum(map(len, blocks)), members), tuple(splits)
 
 
 def line_graph(h_star: Hypergraph) -> LineGraph:

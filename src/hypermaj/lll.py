@@ -11,9 +11,10 @@ holding at delta and every larger degree, such a colouring exists. The
 constructive surrogate here redraws the incident edges of the lowest-id
 bad vertex until no bad vertex remains, with a hard round cap; running
 out of rounds is a reportable outcome, not an error, since below the
-threshold no guarantee applies. When some vertex has 0 < d(v) < k no
-valid colouring exists at all, and the run reports "infeasible" at
-round 0 without resampling.
+threshold no guarantee applies. When some vertex has (k+1)*(d(v)//k) <
+d(v), its k+1 colours hold too few edges, no valid colouring exists at
+all, and the run reports "infeasible" at round 0 without resampling.
+That includes every 0 < d(v) < k, and no d(v) >= k^2 - k.
 
 The resampler keeps, per vertex, its colour counts, its bound d(v)//k
 and how many colours exceed the bound, plus a min-heap of bad vertex ids
@@ -83,8 +84,8 @@ class ResampleRun:
     outcome is "success" (colouring is set and majority-valid),
     "exhausted" (the round cap was hit; colouring holds the final,
     still-invalid state for inspection) or "infeasible" (some vertex has
-    0 < d(v) < k, so no colouring is valid; the run stops at round 0 and
-    colouring holds the first draw).
+    (k+1)*(d(v)//k) < d(v), so no colouring is valid; the run stops at
+    round 0 and colouring holds the first draw).
     """
 
     seed: int
@@ -184,9 +185,10 @@ def resample_colour(
     """Draw a random colouring, then repeatedly redraw the incident
     edges of the lowest-id bad vertex. Stops with "success" when no bad
     vertex remains, or "exhausted" after max_rounds resamplings
-    (default 10000 per edge). A vertex with 0 < d(v) < k has bound
-    d(v)//k = 0, so every colouring is bad there: the run returns
-    "infeasible" at round 0 instead of spending the cap.
+    (default 10000 per edge). The k+1 colours at a vertex hold at most
+    (k+1)*(d(v)//k) edges, so when some vertex has more, every colouring
+    is bad there: the run returns "infeasible" at round 0 instead of
+    spending the cap.
 
     Colour counts per vertex are kept up to date edge by edge, so a
     round costs O(d(v) r) for the d(v) redrawn edges of rank up to r.
@@ -208,7 +210,7 @@ def resample_colour(
     draws = _draws(random.Random(seed), k + 1)
     colours = list(islice(draws, len(edges)))
     degrees = h_graph.degrees()
-    if any(0 < d < k for d in degrees):
+    if any((k + 1) * (d // k) < d for d in degrees):
         return ResampleRun(seed, max_rounds, 0, "infeasible", Colouring(colours, k + 1))
     bounds = [d // k for d in degrees]
     # counts[v][c]: edges of colour c at v; over[v]: colours whose count

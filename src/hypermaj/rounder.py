@@ -44,12 +44,13 @@ r+1 fractional edges, each edge covers at most r rows, so once every
 candidate is in W, |W| > |R|. No two window edges are twins when it is
 solved, so its kernel vectors move at least three edges.
 
-Growth costs no rescan. Each candidate's count of constrained members
-outside R sits in a bucket, a min-heap of edge ids per count 0..r. A count
-changes only when a row joins or leaves R, or when a vertex leaves the
-constrained set, and then only at that vertex's fractional edges, so each
-such change costs O(fractional degree). Heap entries whose count has moved
-on are dropped when they come up.
+Growth costs no rescan. One min-heap holds each candidate e as the int
+c*m + e, with m the edge count and c the count of e's constrained members
+outside R, so it pops the fewest new rows first, ties to the lowest id. A
+count changes only when a row joins or leaves R, or when a vertex leaves
+the constrained set, and then only at that vertex's edges, so each such
+change costs O(degree). Heap entries whose count has moved on are dropped
+when they come up.
 
 There is one step path. A twin step hands _step the pair and the direction
 (1, -1); a window step hands it the support of its kernel vector, the
@@ -290,18 +291,19 @@ def _finalize_low_degree(
         den[e] = 1
 
 
-def _pop_candidate(buckets: list[list[int]], candidate: list[bool], n_out: list[int]) -> int:
-    """Pop and return the lowest id in the lowest bucket that holds a live
-    candidate, or -1 when no bucket does. buckets[c] is a min-heap of edge
-    ids that held c constrained members outside the rows when pushed; an
-    entry whose edge is no longer a candidate, or whose count has moved on,
-    is dropped on the way."""
-    pop = heapq.heappop
-    for c, heap in enumerate(buckets):
-        while heap:
-            e = pop(heap)
-            if candidate[e] and n_out[e] == c:
-                return e
+def _pop_candidate(
+    grow: list[int], key: list[frozenset | None], window: set[int], n_out: list[int]
+) -> int:
+    """Pop and return the candidate e with the lowest n_out[e], ties to the
+    lowest id, or -1 when there is none. grow is a min-heap of entries
+    c * m + e, m = len(key), for an edge e that held c constrained members
+    outside the rows when pushed; an entry whose edge is no longer a
+    candidate, or whose count has moved on, is dropped on the way."""
+    m = len(key)
+    while grow:
+        c, e = divmod(heapq.heappop(grow), m)
+        if n_out[e] == c and key[e] is not None and e not in window:
+            return e
     return -1
 
 
@@ -342,50 +344,44 @@ def _walk(
     m = len(num)
     r = h_graph.rank()
     edges = h_graph.edges
+    incidence = h_graph.incidence()
     gcd = math.gcd
     push = heapq.heappush
     heappop = heapq.heappop
-    # edge e is fractional exactly while den[e] > 1
-    frac = [e for e in range(m) if den[e] > 1]  # ascending
-    # each constrained vertex (fractional degree above r) maps to the set of
-    # its fractional edges; it leaves when that set shrinks to r
-    constrained: dict[int, set[int]] = {}
-    for v, inc in enumerate(h_graph.incidence()):
-        mine = {e for e in inc if den[e] > 1}
-        if len(mine) > r:
-            constrained[v] = mine
-    # candidate[e]: e is fractional, outside the window and has a
-    # constrained member; an edge that stops being one never becomes one
-    # again, as the constrained set only shrinks. n_out[e] counts e's
-    # constrained members outside the rows, and buckets[c] holds every
-    # candidate with n_out c (see _pop_candidate).
-    candidate = [False] * m
-    n_out = [0] * m
-    buckets: list[list[int]] = [[] for _ in range(r + 1)]
+    # edge e is fractional exactly while den[e] > 1; fd[v] counts the
+    # fractional edges at v, and v is constrained (in live) while fd[v] > r
+    fd = [sum([den[e] > 1 for e in inc]) for inc in incidence]
+    live = {v for v, d in enumerate(fd) if d > r}
     # the twin index: key[e] is the set of e's constrained members while e
-    # is fractional and has one, else None; groups and twins as in _file
+    # is fractional and has one, else None; groups and twins as in _file.
+    # The candidates are the edges with a key outside the window; n_out[e]
+    # counts a candidate's constrained members outside the rows, and grow
+    # holds n_out[e] * m + e for each of them (see _pop_candidate)
     key: list[frozenset | None] = [None] * m
     groups: dict[frozenset, list[int]] = {}
     twins: list[int] = []
-    live = constrained.keys()
-    for e in frac:
-        mem = live & edges[e]
-        c = len(mem)
-        if c:
-            candidate[e] = True
-            n_out[e] = c
-            buckets[c].append(e)  # ascending, so already a heap
-            key[e] = edges[e] if c == len(edges[e]) else frozenset(mem)
-            _file(groups, twins, key[e], e)
+    n_out = [0] * m
+    grow: list[int] = []
+    n_frac = 0
+    for e in range(m):
+        if den[e] > 1:
+            n_frac += 1
+            mem = live & edges[e]
+            c = len(mem)
+            if c:
+                n_out[e] = c
+                grow.append(c * m + e)
+                key[e] = edges[e] if c == len(edges[e]) else frozenset(mem)
+                _file(groups, twins, key[e], e)
+    heapq.heapify(grow)
     window: set[int] = set()
     # window edges at each constrained vertex; the rows are the vertices
     # where it is positive
     in_rows = [0] * h_graph.n_vertices
     n_rows = 0
-    n_frac = len(frac)
 
     steps = []
-    while constrained:
+    while live:
         # the lowest edge with a twin heads its group; heap entries that no
         # longer head a group of two or more are dropped
         while twins:
@@ -399,24 +395,23 @@ def _walk(
             support, dirs, scale = g[:2], (1, -1), 1
         else:
             while len(window) <= n_rows:
-                e = _pop_candidate(buckets, candidate, n_out)
+                e = _pop_candidate(grow, key, window, n_out)
                 if e < 0:
                     raise InvariantBreach(
                         "window growth ran out of candidate edges",
                         rows=n_rows,
                         cols=len(window),
                     )
-                candidate[e] = False
                 window.add(e)
                 for v in edges[e]:
-                    if v in constrained:
+                    if v in live:
                         in_rows[v] += 1
                         if in_rows[v] == 1:
                             n_rows += 1
-                            for f in constrained[v]:
-                                if candidate[f]:
+                            for f in incidence[v]:
+                                if key[f] is not None and f not in window:
                                     n_out[f] -= 1
-                                    push(buckets[n_out[f]], f)
+                                    push(grow, n_out[f] * m + f)
             # the window has more columns than its rows, so it holds a
             # dependent column, and a kernel vector on the window vanishes
             # on every constrained row outside it
@@ -452,7 +447,7 @@ def _walk(
                 fixed_now.append(e)
         if not fixed_now:
             raise InvariantBreach("kernel step fixed no edge", cols=len(support))
-        s = len(constrained)
+        s = len(live)
         for e in fixed_now:
             _unfile(groups, twins, key[e], e)
             key[e] = None
@@ -460,50 +455,46 @@ def _walk(
             in_window = e in window
             if in_window:
                 window.remove(e)
-            else:
-                candidate[e] = False
             for v in edges[e]:
-                mine = constrained.get(v)
-                if mine is None:
+                if v not in live:
                     continue
-                mine.discard(e)
-                if len(mine) == r:
+                fd[v] -= 1
+                if fd[v] == r:
                     # v leaves the constrained set, and the rows if it is
                     # one; each edge at v loses v from its key, and one
                     # left with no constrained member leaves the window or
                     # the candidates for good
-                    del constrained[v]
+                    live.remove(v)
                     is_row = in_rows[v] > 0
                     if is_row:
                         n_rows -= 1
-                    for f in mine:
+                    for f in incidence[v]:
                         old = key[f]
                         if old is None:
-                            continue  # fixed by this step
+                            continue  # integral, or fixed by this step
                         _unfile(groups, twins, old, f)
                         k = old.difference((v,))
                         if k:
                             key[f] = k
                             _file(groups, twins, k, f)
-                            if not is_row and candidate[f]:
+                            if not is_row and f not in window:
                                 n_out[f] -= 1
-                                push(buckets[n_out[f]], f)
+                                push(grow, n_out[f] * m + f)
                         else:
                             key[f] = None
                             window.discard(f)
-                            candidate[f] = False
                 elif in_window:
                     in_rows[v] -= 1
                     if not in_rows[v]:
                         n_rows -= 1
-                        for f in mine:
-                            if candidate[f]:
+                        for f in incidence[v]:
+                            if key[f] is not None and f not in window:
                                 n_out[f] += 1
-                                push(buckets[n_out[f]], f)
+                                push(grow, n_out[f] * m + f)
         steps.append((s, n_frac, tn * scale, tq, tuple(fixed_now)))
         n_frac -= len(fixed_now)
 
-    _finalize_low_degree(h_graph, [e for e in frac if den[e] > 1], num, den)
+    _finalize_low_degree(h_graph, [e for e in range(m) if den[e] > 1], num, den)
     return num, steps
 
 

@@ -19,6 +19,7 @@ from hypermaj import cli, hypercore, linearhg, rounder
 from hypermaj.errors import InvariantBreach
 from hypermaj.genlab import GenSpec, generate, verify
 from hypermaj.hypercore import (
+    Colouring,
     Hypergraph,
     Weighting,
     parse_colouring,
@@ -162,13 +163,41 @@ def test_colour_linear_internal_breach_exit_3(tmp_path, monkeypatch, capsys):
     hgr = tmp_path / "in.hgr"
     out = tmp_path / "out.col"
     hgr.write_text(TRIANGLE)
+    split = tmp_path / "out.split"
     monkeypatch.setattr(linearhg, "_cursor_fit", lambda edges, degrees, k: [6] * len(edges))
     code = cli.main(
-        ["colour", "--algorithm", "linear", "--k", "2", str(hgr), "-o", str(out)]
+        ["colour", "--algorithm", "linear", "--k", "2", str(hgr), "-o", str(out),
+         "--emit-split", str(split)]
     )
     assert code == 3
     assert "internal error" in capsys.readouterr().err
     assert not out.exists()
+    assert not split.exists()
+
+
+def test_colour_failing_its_own_verify_writes_nothing(tmp_path, monkeypatch, capsys):
+    # a colouring that fails verify is a bug like a breach: exit 3 leaves
+    # no -o file, no colouring on stdout, and the result lines on stderr
+    hgr = tmp_path / "in.hgr"
+    out = tmp_path / "out.col"
+    hgr.write_text(TRIANGLE)
+
+    def one_class(h_graph, k):
+        return Colouring([1, 1, 1], 3), (Fraction(1, 2),)
+
+    monkeypatch.setattr(cli, "partition_rounds", one_class)
+    base = ["colour", "--algorithm", "partition", "--k", "2", "--trace", str(hgr)]
+    for argv in (base + ["-o", str(out)], base):
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert not out.exists()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0] == "round 1 alpha 1/2 class_size 3"
+        assert lines[1].startswith("algorithm=partition k=2 palette=3 valid=false ")
+        assert lines[2:] == [
+            f"violation vertex={v} colour=1 count=2 bound=1" for v in (1, 2, 3)
+        ]
 
 
 # K4 as an HGR file; no two of its edges share their constrained members,
@@ -615,6 +644,10 @@ def test_flag_scope_enforced(tmp_path):
         ["colour", "IN", "--algorithm", "partition", "--k", "2", "--seed", "1729"],
         ["colour", "IN", "--algorithm", "partition", "--k", "2", "--trials", "1"],
         ["colour", "IN", "--algorithm", "linear", "--k", "2", "--jobs", "1"],
+        ["colour", "IN", "--algorithm", "partition", "--k", "2", "--emit-split", "SPLIT"],
+        # and the colour flags every algorithm reads are bounded
+        ["colour", "IN", "--algorithm", "linear", "--k", "1"],
+        ["colour", "IN", "--algorithm", "random-lll", "--k", "2", "--trials", "0"],
     ],
 )
 def test_flag_accepted_only_where_read(tmp_path, capsys, argv):

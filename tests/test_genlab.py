@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -86,6 +87,24 @@ def test_brute_force_single_edge_has_no_colouring():
     # endpoints have degree 1, bound floor(1/2) = 0: pigeonhole
     h = Hypergraph(2, [(0, 1)])
     assert brute_force(h, 2, 3) is None
+
+
+def test_brute_force_rejects_empty_palette():
+    with pytest.raises(PreconditionError, match="^palette must be at least 1, got 0$"):
+        brute_force(Hypergraph(3, [(0, 1), (1, 2), (0, 2)]), 2, 0)
+
+
+def test_brute_force_counting_test_answers_without_search():
+    # vertex 1 has 15 loops and vertex 2 one edge, which no colour may
+    # hold at k = 2: palette 3 * floor(1/2) = 0 < 1. The search alone
+    # tries every valid colouring of the 15 loops before failing at the
+    # last edge, for tens of seconds; the counting test answers at once
+    h = Hypergraph(2, [(0,)] * 15 + [(1,)])
+    t = time.process_time()
+    assert brute_force(h, 2, 3) is None
+    assert time.process_time() - t < 2
+    # on a vertex with enough edges the test passes and the search runs
+    assert brute_force(Hypergraph(1, [(0,)] * 5), 2, 3).colours == (1, 1, 2, 2, 3)
 
 
 def test_brute_force_triangle_first_witness():
@@ -205,6 +224,8 @@ def test_genspec_validation():
     GenSpec("uniform", 6, 3, 3, 0)
     GenSpec("regular", 6, 3, 3, 0)
     GenSpec("uniform", 10, 3, 2, 0)
+    with pytest.raises(PreconditionError, match="^r must be at least 1, got 0$"):
+        GenSpec("uniform", 4, 0, 1, 0)
 
 
 def test_genspec_rejects_vertex_count_over_limit():

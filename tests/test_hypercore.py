@@ -153,6 +153,8 @@ def test_min_degree_rank_linear_trivia():
 def test_min_degree_zero_vertices_is_error():
     with pytest.raises(ValueError):
         Hypergraph(0, []).min_degree()
+    with pytest.raises(ValueError, match="max_degree is undefined"):
+        Hypergraph(0, []).max_degree()
 
 
 def test_min_degree_at_most_average():

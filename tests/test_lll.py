@@ -352,6 +352,17 @@ def test_resample_infeasible_fails_fast():
     assert resample_colour(isolated, 2, seed=1, max_rounds=50).outcome == "success"
 
 
+def test_resample_infeasible_when_colours_cannot_hold_the_degree():
+    # every vertex of this graph has d = 5 >= k = 3, but its 4 colours
+    # hold at most 4 * (5 // 3) = 4 edges, so no colouring is valid; the
+    # run used to spend its whole cap of 10000 per edge
+    h = generate(GenSpec("regular", 12, 2, 5, 1))
+    assert set(h.degrees()) == {5}
+    run = resample_colour(h, 3, seed=1)
+    assert (run.outcome, run.rounds_used, run.max_rounds) == ("infeasible", 0, 300_000)
+    assert run.colouring == first_draw(h, 3, 1)
+
+
 def test_resample_default_budget():
     h = Hypergraph(2, [(0, 1)] * 4)
     run = resample_colour(h, 2, seed=1)
@@ -375,15 +386,18 @@ def test_resample_rejects_negative_round_cap():
     h = Hypergraph(2, [(0, 1)])
     with pytest.raises(PreconditionError):
         resample_colour(h, 2, seed=1, max_rounds=-1)
+    with pytest.raises(PreconditionError, match="^k must be at least 2, got 1$"):
+        resample_colour(h, 1, seed=0)
 
 
 def rescan_resample(h, k, seed, max_rounds):
     """The resampler without incremental bookkeeping: a full bad_vertices
     rescan of every incidence each round, then the lowest bad id. An
-    instance with a vertex of degree 0 < d < k stops at round 0."""
+    instance with a vertex whose k+1 colours cannot hold its d edges,
+    (k+1)*(d//k) < d, stops at round 0."""
     rng = random.Random(seed)
     colours = [rng.randint(1, k + 1) for _ in h.edges]
-    if any(0 < h.degree(v) < k for v in range(h.n_vertices)):
+    if any((k + 1) * (h.degree(v) // k) < h.degree(v) for v in range(h.n_vertices)):
         return ResampleRun(seed, max_rounds, 0, "infeasible", Colouring(colours, k + 1))
     rounds = 0
     while True:
@@ -433,8 +447,8 @@ def test_resample_matches_rescan_reference(case):
 
 
 # sha256 of golden_resample_digest(), recorded before infeasible inputs
-# failed fast, over the runs the fail-fast leaves alone (every vertex has
-# degree 0 or at least k); the digest of these same runs was first
+# failed fast, over the runs the fail-fast leaves alone (no vertex has
+# (k+1)*(d//k) < d); the digest of these same runs was first
 # recorded with the rescan resampler (rescan_resample's loop) before the
 # incremental counts replaced it. A change to the round count, outcome or
 # colouring of any run changes it.

@@ -44,6 +44,13 @@ def kernel_direction(matrix):
     return [F(x, abs(w[j])) for x in w] + [F(0)] * (n_cols - n_rows - 1)
 
 
+def test_first_dependent_without_a_dependent_column_is_a_breach():
+    # one row nonzero in the only column: that column is independent, so
+    # no kernel vector ends in it; the walk never hands over such a system
+    with pytest.raises(InvariantBreach, match="no dependent column"):
+        _first_dependent({"a": {0: 1}}, [{"a"}])
+
+
 def reference_kernel(matrix):
     """Independent kernel solver used as an oracle.
 
@@ -374,7 +381,7 @@ def test_window_growth_without_candidates_is_a_breach(monkeypatch):
     # the walk always finds a candidate while the window has no more
     # columns than rows; a bookkeeping fault that loses them all is
     # reported, not looped on or stepped through
-    monkeypatch.setattr(rounder, "_pop_candidate", lambda buckets, state, n_out: -1)
+    monkeypatch.setattr(rounder, "_pop_candidate", lambda grow, key, window, n_out: -1)
     with pytest.raises(InvariantBreach, match="ran out of candidate edges"):
         round_weights(K4, Weighting([F(2, 3)] * 6))
 
