@@ -14,43 +14,49 @@ provided, each behind its own precondition:
 The rounding engine (round_weights) and the verifier/generators are
 public as well.
 
-The package loads its modules lazily (PEP 562): a bare `import hypermaj`
-loads none of them, and a name is looked up, and its modules loaded, on
-first use. A submodule (a library module or cli) resolves by its name,
-__all__ to the concatenation of the library modules' lists in _MODULES
-order, and any other public name to the object of the first module
-whose __all__ lists it.
+_EXPORTS below is the one statement of the package's public names: it
+maps each library module to the names it exports, and __all__ is its
+concatenation. The package loads its modules lazily (PEP 562): a bare
+`import hypermaj` loads none of them, a submodule (a library module or
+cli) resolves by its name, and a public name loads only its home module
+(and what that module imports) on first use.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# the modules whose __all__ lists make up the package's, in this order
-_MODULES = ("errors", "genlab", "hypercore", "linearhg", "lll", "partition", "rounder")
-
 # The instance models of genlab.generate, stated here so that the CLI can
 # offer them as --model choices without loading genlab.
 GEN_MODELS = ("uniform", "linear", "graph", "regular")
 
+# Each library module and the names it exports, in the package's order.
+_EXPORTS = {
+    "errors": ("FormatError", "PreconditionError", "InvariantBreach", "GenerationError"),
+    "genlab": ("Violation", "VerifyReport", "verify", "brute_force", "GenSpec", "generate"),
+    "hypercore": (
+        "Hypergraph", "Colouring", "Weighting",
+        "parse_hypergraph", "serialize_hypergraph",
+        "parse_colouring", "serialize_colouring",
+        "parse_weights", "serialize_weights",
+    ),
+    "linearhg": ("split_hypergraph", "colour_linear"),
+    "lll": (
+        "ResampleRun", "inequalities_hold", "threshold", "threshold_details", "resample_colour",
+    ),
+    "partition": ("alpha_schedule", "partition_rounds", "colour_partition"),
+    "rounder": ("TraceStep", "RoundingTrace", "round_weights"),
+}
 
-def _module(name: str):
-    return importlib.import_module(f"{__name__}.{name}")
+__all__ = [name for names in _EXPORTS.values() for name in names]
 
 
 def __getattr__(name: str):
-    if name in _MODULES or name == "cli":
-        return _module(name)
-    if name == "__all__":
-        value = [n for m in _MODULES for n in _module(m).__all__]
-    else:
-        # private and dunder names are never exported: a probe for one
-        # (hasattr(hypermaj, "__wrapped__")) loads nothing
-        home = None
-        if not name.startswith("_"):
-            home = next((mod for mod in map(_module, _MODULES) if name in mod.__all__), None)
-        if home is None:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-        value = getattr(home, name)
+    if name in _EXPORTS or name == "cli":
+        return importlib.import_module(f"{__name__}.{name}")
+    home = next((mod for mod, names in _EXPORTS.items() if name in names), None)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
     globals()[name] = value
     return value

@@ -30,15 +30,15 @@ without a bytecode cache every call compiles each module it imports:
 threshold loads lll alone, verify and generate hypercore and genlab.
 json loads only for --format json-lines, and fractions only for it or
 for weights (round, colour --algorithm partition). Each library name a
-handler calls is resolved on first use by this module's __getattr__
-(see _HOMES).
+handler calls is resolved on first use by this module's __getattr__,
+through the package's export table, which loads only the name's home
+module.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
 import os
 import stat
 import sys
@@ -66,30 +66,18 @@ MAX_TRIALS = 10**4
 
 __all__ = ["DEFAULT_SEED", "main"]
 
-# The home module of every library name a handler calls. The handlers
-# reach these names as attributes of _lib, this module itself, at each
-# call: a name resolves through __getattr__ below, loading its home
-# module, the first time a handler calls it, and a value set on the
-# module (a test's stand-in, a tracer's wrapper) is the one called.
-_HOMES = {
-    **dict.fromkeys(
-        ("parse_hypergraph", "parse_colouring", "parse_weights",
-         "serialize_colouring", "serialize_hypergraph", "serialize_weights"),
-        "hypercore",
-    ),
-    **dict.fromkeys(("GenSpec", "generate", "verify", "brute_force"), "genlab"),
-    **dict.fromkeys(("colour_linear", "split_hypergraph"), "linearhg"),
-    **dict.fromkeys(("resample_colour", "threshold_details"), "lll"),
-    "partition_rounds": "partition",
-    "round_weights": "rounder",
-}
+# The handlers reach the package's names as attributes of _lib, this
+# module itself, at each call: a name resolves through __getattr__ below,
+# loading its home module, the first time a handler calls it, and a value
+# set on the module (a test's stand-in, a tracer's wrapper) is the one
+# called.
+_package = sys.modules[__package__]
 
 
 def __getattr__(name: str):
-    home = _HOMES.get(name)
-    if home is None:
+    if name not in _package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{home}", __package__), name)
+    value = getattr(_package, name)
     globals()[name] = value
     return value
 

@@ -1,12 +1,5 @@
 """Exception types shared across the package."""
 
-__all__ = [
-    "FormatError",
-    "PreconditionError",
-    "InvariantBreach",
-    "GenerationError",
-]
-
 
 class FormatError(ValueError):
     """A text input (HGR, colouring, or weights file) is malformed.

@@ -25,15 +25,6 @@ from ._record import frozen_record
 from .errors import GenerationError, PreconditionError
 from .hypercore import MAX_VERTICES, Colouring, Hypergraph
 
-__all__ = [
-    "Violation",
-    "VerifyReport",
-    "verify",
-    "brute_force",
-    "GenSpec",
-    "generate",
-]
-
 BRUTE_FORCE_LIMIT = 10**8
 
 # consecutive rejected samples before a gen_linear pass is a dead end
@@ -100,10 +91,12 @@ def brute_force(h: Hypergraph, k: int, palette: int) -> Optional[Colouring]:
 
     Depth-first search over edges in order with early pruning: a partial
     assignment is abandoned as soon as some vertex exceeds its per-colour
-    bound. Guarded to c**|E| <= 10^8 states for the c = min(palette, |E|)
-    colours tried per edge: counting at least two choices per edge also
-    caps the recursion depth at 27. Past the guard, an input with a vertex
-    of degree d > palette * (d // k) returns None without a search.
+    bound, and an edge tries no colour above one more than the largest
+    used before it. Guarded to c**|E| <= 10^8 states for the at most
+    c = min(palette, |E|) colours an edge tries: counting at least two
+    choices per edge also caps the recursion depth at 27. Past the guard,
+    an input with a vertex of degree d > palette * (d // k) returns None
+    without a search.
     """
     if k < 2:
         raise PreconditionError(f"k must be at least 2, got {k}")
@@ -111,8 +104,9 @@ def brute_force(h: Hypergraph, k: int, palette: int) -> Optional[Colouring]:
         raise PreconditionError(f"palette must be at least 1, got {palette}")
     m = len(h.edges)
     # In the lexicographically first valid colouring no edge's colour
-    # exceeds one more than the colours used before it (swapping two unused
-    # labels would give a smaller one), so colours above m are never tried.
+    # exceeds one more than the largest colour used before it (swapping two
+    # unused labels would give a smaller one), so an edge tries only those,
+    # and colours above m are never tried.
     top = min(palette, m)
     choices = max(top, 2)
     # 2**m passes the limit once m reaches its bit length; testing that
@@ -129,22 +123,22 @@ def brute_force(h: Hypergraph, k: int, palette: int) -> Optional[Colouring]:
     counts = [[0] * (top + 1) if d else () for d in h.degrees()]
     chosen = [0] * m
 
-    def search(e: int) -> bool:
+    def search(e: int, used: int) -> bool:
         if e == m:
             return True
-        for c in range(1, top + 1):
+        for c in range(1, min(top, used + 1) + 1):
             if any(counts[v][c] >= bounds[v] for v in h.edges[e]):
                 continue
             for v in h.edges[e]:
                 counts[v][c] += 1
             chosen[e] = c
-            if search(e + 1):
+            if search(e + 1, max(used, c)):
                 return True
             for v in h.edges[e]:
                 counts[v][c] -= 1
         return False
 
-    if not search(0):
+    if not search(0, 0):
         return None
     return Colouring(chosen, palette)
 

@@ -52,18 +52,6 @@ from .errors import FormatError
 if TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = [
-    "Hypergraph",
-    "Colouring",
-    "Weighting",
-    "parse_hypergraph",
-    "serialize_hypergraph",
-    "parse_colouring",
-    "serialize_colouring",
-    "parse_weights",
-    "serialize_weights",
-]
-
 # Largest vertex count a file header or a generator may ask for.
 MAX_VERTICES = 2**22
 

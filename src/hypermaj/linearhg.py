@@ -60,8 +60,6 @@ from ._record import frozen_record
 from .errors import InvariantBreach, PreconditionError
 from .hypercore import Colouring, Hypergraph
 
-__all__ = ["split_hypergraph", "colour_linear"]
-
 _NOT_RUNS = "split blocks are not runs of k or k+1 edges covering the incidence"
 
 

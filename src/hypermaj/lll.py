@@ -64,14 +64,6 @@ from .errors import InvariantBreach, PreconditionError
 if TYPE_CHECKING:
     from .hypercore import Colouring, Hypergraph
 
-__all__ = [
-    "ResampleRun",
-    "inequalities_hold",
-    "threshold",
-    "threshold_details",
-    "resample_colour",
-]
-
 _WORK_DIGITS = 40
 # 1 - 2^-30 is exact in binary, and Decimal converts a float exactly
 _CUTOFF = Decimal(1 - 2.0**-30)

@@ -33,12 +33,6 @@ from .rounder import _walk
 # benchmark's tracer (bench/spans.py) still looks this name up
 from .rounder import round_weights  # noqa: F401
 
-__all__ = [
-    "alpha_schedule",
-    "partition_rounds",
-    "colour_partition",
-]
-
 
 def alpha_schedule(delta: int, k: int, r: int) -> tuple[Fraction, ...]:
     """All k round weights, exact rationals; round i uses

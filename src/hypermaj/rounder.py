@@ -92,12 +92,6 @@ from ._record import frozen_record
 from .errors import InvariantBreach
 from .hypercore import Hypergraph, Weighting
 
-__all__ = [
-    "TraceStep",
-    "RoundingTrace",
-    "round_weights",
-]
-
 
 @frozen_record
 class TraceStep:

@@ -979,6 +979,21 @@ def test_bare_package_import_loads_no_submodule(startup_modules):
     assert "dataclasses" not in loaded
 
 
+def test_package_name_loads_only_its_home_module(startup_modules):
+    loaded = modules_after("import hypermaj; hypermaj.threshold") - startup_modules
+    assert {m for m in loaded if m.startswith("hypermaj.")} == {
+        "hypermaj.errors", "hypermaj._record", "hypermaj.lll",
+    }
+    loaded = modules_after("import hypermaj; hypermaj.round_weights") - startup_modules
+    assert "hypermaj.rounder" in loaded
+    assert not {f"hypermaj.{m}" for m in ("genlab", "linearhg", "lll", "partition")} & loaded
+    # the CLI resolves only the package's exported names, and a probe for
+    # any other (a submodule, a module-only name) loads nothing
+    probe = "import hypermaj.cli as c; assert not any(hasattr(c, n) for n in %r)"
+    loaded = modules_after(probe % (("genlab", "__path__", "line_graph"),)) - startup_modules
+    assert {m for m in loaded if m.startswith("hypermaj.")} == {"hypermaj.cli", "hypermaj.errors"}
+
+
 @pytest.mark.parametrize(
     "name, text, message",
     [

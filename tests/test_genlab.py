@@ -94,6 +94,21 @@ def test_brute_force_rejects_empty_palette():
         brute_force(Hypergraph(3, [(0, 1), (1, 2), (0, 2)]), 2, 0)
 
 
+def test_brute_force_rejects_k_below_two():
+    with pytest.raises(PreconditionError, match="^k must be at least 2, got 1$"):
+        brute_force(Hypergraph(3, [(0, 1), (1, 2), (0, 2)]), 1, 3)
+
+
+def test_brute_force_petersen_has_no_colouring():
+    # 3-regular, so at k = 2 each colour holds one edge per vertex and a
+    # valid 3-colouring would be a proper 3-edge-colouring, which the
+    # Petersen graph does not have
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    assert brute_force(Hypergraph(10, outer + spokes + inner), 2, 3) is None
+
+
 def test_brute_force_counting_test_answers_without_search():
     # vertex 1 has 15 loops and vertex 2 one edge, which no colour may
     # hold at k = 2: palette 3 * floor(1/2) = 0 < 1. The search alone
@@ -158,8 +173,9 @@ def reference_brute_force(h, k, palette):
 
 
 def test_brute_force_matches_reference_above_m_colours():
-    # colours above m never occur in the lexicographically first valid
-    # colouring, so a palette cut to m must find the same one
+    # no edge of the lexicographically first valid colouring takes a colour
+    # above one more than the largest before it (so none above m), so a
+    # search cut there must find the same one
     rng = random.Random(2024)
     found = 0
     for _ in range(1500):

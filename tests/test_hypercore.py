@@ -349,6 +349,8 @@ def test_parse_weights_rejects_out_of_range():
         parse_weights("3/2\n")
     with pytest.raises(FormatError):
         parse_weights("nope\n")
+    with pytest.raises(FormatError, match="^line 2: empty line in weights file$"):
+        parse_weights("1/2\n\n1/2\n")
 
 
 LONG = "9" * 50

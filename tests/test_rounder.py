@@ -386,6 +386,20 @@ def test_window_growth_without_candidates_is_a_breach(monkeypatch):
         round_weights(K4, Weighting([F(2, 3)] * 6))
 
 
+def test_pop_candidate_drops_stale_entries():
+    # three edges, so an entry is c * 3 + e: edge 0 in the window, edge 1
+    # fixed (no key), edge 2 pushed with count 1 before it moved on to 2
+    key = [frozenset({0}), None, frozenset({1})]
+    n_out = [1, 0, 2]
+    assert rounder._pop_candidate([], key, set(), n_out) == -1
+    grow = [0 * 3 + 1, 1 * 3 + 0, 1 * 3 + 2]
+    assert rounder._pop_candidate(grow, key, {0}, n_out) == -1
+    assert grow == []
+    grow = [1 * 3 + 2, 2 * 3 + 2]
+    assert rounder._pop_candidate(grow, key, {0}, n_out) == 2
+    assert grow == []
+
+
 def test_finalize_threshold_rule():
     # edge e of weight num[e]/den[e] rounds up exactly when 2*num >= den,
     # in place; edges outside frac are left as they are
